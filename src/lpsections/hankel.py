@@ -163,6 +163,11 @@ def _weight_cells(p: float, r_max: float, levels: int):
     ])
     edges = us ** (1.0 / p)
     edges = edges[edges < r_max]
+    if edges.size == 0:
+        # for p >~ 1e15 every edge and r_max round to 1.0
+        raise NonConvergenceError(
+            f"no radial kernel cell left at p={p!r}: the r^p grading collapses in double precision"
+        )
     edges = np.concatenate([edges, [r_max]])
     return float(edges[0]), edges[:-1].copy(), np.diff(edges)
 
@@ -234,6 +239,8 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13, order: int = 16):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(x < 0.0):
         raise ValueError("kernel argument must be nonnegative")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("kernel argument must be finite")
     if is_inf(p):
         return _j1_normalized(x), np.zeros_like(x)
     r_max, cert = _trunc_radius(p, trunc_target)

@@ -1,25 +1,31 @@
 """Self-contained special-function kernel.
 
 Everything here is a pure function of its arguments (no shared mutable
-state apart from an append-only Bessel-zero cache), so concurrent use is
-safe.  Accuracy contracts:
+state apart from an append-only Bessel-zero cache and the read-only
+Bessel table, built once on first use), so concurrent use is safe.
+Accuracy contracts:
 
     ln_gamma    relative error <= 1e-13 on [0.5, 10]
     digamma     absolute error <= 1e-12 on [1, 10]
     trigamma    absolute error <= 1e-12 on [1, 10]
     zeta        absolute error <= 1e-12 for alpha >= 2
-    bessel_j0/1 absolute error <= 1e-12 for x <= 50, <= 1e-10 beyond
+    bessel_j0/1 absolute error <= 1e-13 for x <= 50, <= 1e-10 beyond;
+                J1 relative error <= 1e-15 for x <= 1e-2; J0(0) = 1 and
+                J1(0) = 0 exactly; NaN in, NaN out
     gamma_upper relative error <= 1e-10
 
 Algorithms: Lanczos for ln Gamma; asymptotic series plus downward
-recurrence for digamma/trigamma; Euler-Maclaurin for zeta; power series
-(extended precision) below x = 16 and the Hankel asymptotic expansion
-above for J0/J1; series / Lentz continued fraction for the upper
+recurrence for digamma/trigamma; Euler-Maclaurin for zeta; for J0/J1 the
+power series up to x = 2, a piecewise polynomial table on (2, 16]
+(degree 13 per interval of width 1/2, interpolating the power series
+summed in 128-bit fixed-point integers) and the Hankel asymptotic
+expansion above; series / Lentz continued fraction for the upper
 incomplete gamma.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -131,19 +137,30 @@ def zeta(alpha: float) -> float:
 # Bessel functions J0, J1
 # ---------------------------------------------------------------------------
 
-# Branches: power series in double precision up to x = 8, the same series
-# in 80-bit precision (where alternating cancellation would cost double
-# ~1e-11) up to x = 16, Hankel asymptotic expansion beyond.
-_SERIES_CUT_F64 = 8.0
-_SERIES_CUT = 16.0
+# Ranges: the power series in double precision up to x = 2 (exact at 0,
+# and relatively accurate for tiny x), a piecewise polynomial table on
+# (2, 16], the Hankel asymptotic expansion beyond.  The table holds one
+# polynomial of degree 13 per interval of width 1/2, in a local variable
+# t in [-1, 1], interpolating J at Chebyshev points.  Its node values
+# come from the power series summed in fixed-point integers with 128
+# fraction bits (in floating point, its alternating cancellation costs
+# ~1e-14 even at 80 bits), and it is built on first use, not at import.
+_SERIES_CUT = 2.0
+_TABLE_CUT = 16.0
+_TABLE_WIDTH = 0.5
+_TABLE_DEGREE = 13
+# fraction bits of the fixed-point node sums, and their term count (the
+# last term is below 1e-55 up to x = 16)
+_NODE_BITS = 128
+_NODE_TERMS = 60
 
 
-def _series_coeffs(order: int, terms: int, dtype):
+def _series_coeffs(order: int, terms: int):
     # J_order(x) = (x/2)^order sum_m c_m t^m, t = (x/2)^2
-    c = np.empty(terms + 1, dtype=dtype)
-    c[0] = dtype(1.0)
+    c = np.empty(terms + 1)
+    c[0] = 1.0
     for m in range(1, terms + 1):
-        c[m] = -c[m - 1] / dtype(m * (m + order))
+        c[m] = -c[m - 1] / (m * (m + order))
     return c
 
 
@@ -163,42 +180,106 @@ def _asym_coeffs(order: int, terms: int = 22):
     return np.array(cp), np.array(cq)
 
 
-_J_COEFFS_F64 = {0: _series_coeffs(0, 26, np.float64), 1: _series_coeffs(1, 26, np.float64)}
-_J_COEFFS_LD = {0: _series_coeffs(0, 44, np.longdouble), 1: _series_coeffs(1, 44, np.longdouble)}
+_J_SERIES = {0: _series_coeffs(0, 14), 1: _series_coeffs(1, 14)}
 _J_ASYM = {0: _asym_coeffs(0), 1: _asym_coeffs(1)}
 
-_polyval = np.polynomial.polynomial.polyval
+
+def _horner(t: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] t^k, in place; the same operations in the same
+    order as numpy's polyval, without its two temporaries per step."""
+    acc = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
 
 
-def _bessel_series(x: np.ndarray, order: int, coeffs) -> np.ndarray:
-    t = (0.5 * x.astype(coeffs.dtype)) ** 2
-    acc = _polyval(t, coeffs)
+def _bessel_series(x: np.ndarray, order: int) -> np.ndarray:
+    acc = _horner((0.5 * x) ** 2, _J_SERIES[order])
     if order == 1:
-        acc *= 0.5 * x.astype(coeffs.dtype)
-    return acc.astype(np.float64)
+        acc *= 0.5 * x
+    return acc
+
+
+def _series_exact(x, order: int) -> int:
+    """J_order(x) * 2^_NODE_BITS from the power series in fixed-point
+    integers; x is any float with an exact as_integer_ratio."""
+    num, den = x.as_integer_ratio()
+    t = (num * num << _NODE_BITS) // (4 * den * den)
+    term = (num << _NODE_BITS) // (2 * den) if order else 1 << _NODE_BITS
+    total = term
+    for m in range(1, _NODE_TERMS):
+        term = -((term * t >> _NODE_BITS) // (m * (m + order)))
+        total += term
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _bessel_table(order: int) -> np.ndarray:
+    """Monomial coefficients in t of J_order on each table interval,
+    shape (degree + 1, intervals), highest degree first."""
+    n = _TABLE_DEGREE + 1
+    count = round((_TABLE_CUT - _SERIES_CUT) / _TABLE_WIDTH)
+    ld = np.longdouble
+    theta = (np.arange(n, dtype=ld) + ld(0.5)) * (ld(4.0) * np.arctan(ld(1.0))) / ld(n)
+    centres = _SERIES_CUT + _TABLE_WIDTH * (np.arange(count, dtype=ld) + ld(0.5))
+    x = centres[:, None] + ld(0.5 * _TABLE_WIDTH) * np.cos(theta)[None, :]
+    # |J| <= 1, so 62 leading bits of each sum fit an int64 exactly
+    shift = _NODE_BITS - 62
+    f = np.array([_series_exact(v, order) >> shift for v in x.ravel()], dtype=np.int64)
+    f = f.reshape(x.shape).astype(ld) * ld(2.0) ** -62
+    # discrete Chebyshev transform at the first-kind points
+    cheb = f @ np.cos(np.outer(np.arange(n), theta)).T * ld(2.0 / n)
+    cheb[:, 0] *= ld(0.5)
+    # T_k in the monomial basis (exact integers): T_k+1 = 2t T_k - T_k-1
+    to_mono = np.zeros((n, n), dtype=ld)
+    to_mono[0, 0] = to_mono[1, 1] = 1
+    for k in range(1, n - 1):
+        to_mono[k + 1, 1:] = 2 * to_mono[k, :-1]
+        to_mono[k + 1] -= to_mono[k - 1]
+    table = np.ascontiguousarray((cheb @ to_mono).T[::-1].astype(np.float64))
+    table.flags.writeable = False
+    return table
+
+
+def _bessel_tabulated(x: np.ndarray, order: int) -> np.ndarray:
+    """Table lookup for 2 < x <= 16: Horner's rule in t, one
+    coefficient gather per step."""
+    coeffs = _bessel_table(order)
+    u = (x - _SERIES_CUT) * (1.0 / _TABLE_WIDTH)
+    idx = np.minimum(u.astype(np.intp), coeffs.shape[1] - 1)
+    t = u - idx
+    t *= 2.0
+    t -= 1.0
+    acc = coeffs[0].take(idx)
+    for row in coeffs[1:]:
+        acc *= t
+        acc += row.take(idx)
+    return acc
 
 
 def _bessel_asymptotic(x: np.ndarray, order: int) -> np.ndarray:
     cp, cq = _J_ASYM[order]
     z = 1.0 / (x * x)
-    p = _polyval(z, cp)
-    q = _polyval(z, cq) / x
+    p = _horner(z, cp)
+    q = _horner(z, cq) / x
     chi = x - (0.5 * order + 0.25) * math.pi
     return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def _j_array(x: np.ndarray, order: int) -> np.ndarray:
     ax = np.abs(x)
-    out = np.empty_like(ax, dtype=np.float64)
-    lo = ax <= _SERIES_CUT_F64
-    mid = (ax > _SERIES_CUT_F64) & (ax <= _SERIES_CUT)
-    hi = ax > _SERIES_CUT
-    if np.any(lo):
-        out[lo] = _bessel_series(ax[lo], order, _J_COEFFS_F64[order])
-    if np.any(mid):
-        out[mid] = _bessel_series(ax[mid], order, _J_COEFFS_LD[order])
-    if np.any(hi):
-        out[hi] = _bessel_asymptotic(ax[hi], order)
+    # NaN falls in no range and stays NaN
+    out = np.full_like(ax, np.nan)
+    small = ax <= _SERIES_CUT
+    table = (ax > _SERIES_CUT) & (ax <= _TABLE_CUT)
+    large = ax > _TABLE_CUT
+    if np.any(small):
+        out[small] = _bessel_series(ax[small], order)
+    if np.any(table):
+        out[table] = _bessel_tabulated(ax[table], order)
+    if np.any(large):
+        out[large] = _bessel_asymptotic(ax[large], order)
     if order == 1:
         out = np.where(x < 0, -out, out)
     return out

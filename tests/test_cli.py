@@ -78,6 +78,13 @@ class TestVolume:
         code, _ = run_cli(["volume", "--p", "4", "--diag", "3", "--engine", "quad"], capsys)
         assert code == 3
 
+    def test_huge_p_exits_3(self, capsys):
+        # the kernel quadrature has no radial cell left at this p: a
+        # non-convergence exit naming p, not a traceback
+        code = cli.main(["volume", "--p", "1e20", "--diag", "3", "--engine", "quad"])
+        assert code == 3
+        assert "p=1e+20" in capsys.readouterr().err
+
 
 class TestKernelTable:
     def test_rows_and_header(self, capsys):
@@ -87,6 +94,11 @@ class TestKernelTable:
         assert lines[0] == EXPECTED_HEADERS["kernel"]
         assert len(lines) == 1 + 5  # s = 0, 0.5, 1.0, 1.5, 2.0
         assert lines[1].split(",")[1:3] == ["0.0", "1.0"]
+
+    def test_huge_p_exits_3(self, capsys):
+        code = cli.main(["kernel", "--p", "1e20", "--s-max", "1", "--step", "0.5"])
+        assert code == 3
+        assert "p=1e+20" in capsys.readouterr().err
 
 
 class TestCrossing:

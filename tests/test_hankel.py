@@ -51,6 +51,10 @@ class TestKernel:
             hk.gamma_kernel(4.0, -1.0)
         with pytest.raises(ValueError):
             hk.gamma_kernel(0.5, 1.0)
+        for bad in (math.nan, math.inf):
+            for p in (4.0, INF):
+                with pytest.raises(ValueError):
+                    hk.kernel_values(p, np.array([1.0, bad]))
 
     def test_modulus_bounded_by_one(self):
         s = np.linspace(0.0, 50.0, 26)
@@ -226,6 +230,13 @@ class TestSectionVolume:
         spec = hk.QuadSpec(tol_abs=1e-6, s_max_policy=3.0)
         with pytest.raises(hk.NonConvergenceError):
             hk.section_volume_quadrature(9.0, Direction.diagonal(3), spec)
+
+    def test_collapsed_radial_cells(self):
+        # at p = 1e20 the kernel quadrature has no radial cell left
+        with pytest.raises(hk.NonConvergenceError, match="p=1e\\+20"):
+            hk.kernel_values(1e20, np.array([0.5]))
+        with pytest.raises(hk.NonConvergenceError, match="p=1e\\+20"):
+            hk.section_volume_quadrature(1e20, Direction.diagonal(3))
 
     def test_panel_budget_exhaustion(self):
         spec = hk.QuadSpec(tol_abs=1e-6, panel_budget=4)

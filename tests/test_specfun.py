@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,12 +185,56 @@ class TestBessel:
 
     def test_accuracy_vs_mpmath(self):
         mp = pytest.importorskip("mpmath")
-        xs = np.concatenate([np.linspace(0.05, 50.0, 120), np.linspace(51.0, 900.0, 40)])
-        for x in xs:
-            x = float(x)
-            tol = 1e-12 if x <= 50 else 1e-10
-            assert abs(sf.bessel_j0(x) - float(mp.besselj(0, x))) < tol
-            assert abs(sf.bessel_j1(x) - float(mp.besselj(1, x))) < tol
+        # every seam of the (2, 16] table (2, 2.5, ..., 16) and its
+        # neighbours 1 ulp either side, plus a dense grid over the table
+        seams = np.arange(2.0, 16.25, 0.5)
+        xs = np.concatenate([
+            np.linspace(0.05, 50.0, 120), np.linspace(51.0, 900.0, 40),
+            seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf),
+            np.linspace(2.0, 16.0, 1401)[1:],
+        ])
+        tol = np.where(xs <= 50.0, 1e-13, 1e-10)
+        tiny = np.geomspace(1e-12, 1e-2, 41)
+        with mp.workdps(30):
+            for order, fn in ((0, sf.j0_array), (1, sf.j1_array)):
+                ref = np.array([float(mp.besselj(order, float(x))) for x in xs])
+                assert np.all(np.abs(fn(xs) - ref) < tol)
+            # J1 keeps its relative accuracy towards 0
+            ref = np.array([float(mp.besselj(1, float(x))) for x in tiny])
+            assert np.all(np.abs(sf.j1_array(tiny) / ref - 1.0) <= 1e-15)
+
+    def test_shape_contract(self):
+        # hankel passes N x order arrays; scalars and empty arrays keep theirs
+        for fn in (sf.j0_array, sf.j1_array):
+            assert fn(0.5).shape == ()
+            assert fn(np.empty(0)).shape == (0,)
+            grid = np.linspace(0.0, 40.0, 60).reshape(5, 12)
+            out = fn(grid)
+            assert out.shape == (5, 12)
+            assert np.array_equal(out.ravel(), fn(grid.ravel()))
+
+    def test_parity(self):
+        xs = np.linspace(0.0, 40.0, 801)
+        assert np.array_equal(sf.j0_array(-xs), sf.j0_array(xs))
+        assert np.array_equal(sf.j1_array(-xs), -sf.j1_array(xs))
+
+    def test_nan_propagates(self):
+        xs = np.array([np.nan, 1.0, 5.0, 30.0])
+        for fn in (sf.j0_array, sf.j1_array):
+            out = fn(xs)
+            assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))
+            assert np.isnan(fn(np.nan))
+
+    def test_table_not_built_at_import(self):
+        # the (2, 16] table is built on first use; building it at import
+        # would add to every command's start-up
+        code = ("from lpsections import cli, specfun; cli.build_parser(); "
+                "print(specfun._bessel_table.cache_info().currsize)")
+        src = str(Path(sf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert res.stdout.strip() == "0"
 
 
 class TestGammaUpper:

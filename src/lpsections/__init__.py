@@ -30,7 +30,6 @@ from .hankel import (
     QuadSpec,
     VolumeResult,
     gamma_kernel,
-    kernel_envelope,
     section_volume_quadrature,
     tail_bound_outer,
 )
@@ -42,20 +41,19 @@ from .montecarlo import (
     rao_blackwell_kernel,
 )
 from .optimize import OptReport, grid_search_simplex, maximize_direction
-from .randkit import RadialLaw, RngStream, sample_disc, sample_gamma, sample_radial, sample_sphere3
+from .randkit import RngStream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CrossingReport", "Direction", "Ineq", "KernelValue", "LipschitzReport",
     "McEstimate", "McSpec", "NonConvergenceError", "OptReport", "QuadSpec",
-    "RadialLaw", "RngStream", "VolumeResult",
+    "RngStream", "VolumeResult",
     "a2_closed_form", "a2_general", "canonicalize", "clt_experiment",
     "crossing_scan", "estimate_section_volume", "gamma_kernel",
-    "grid_search_simplex", "kernel_envelope", "lemma1_f", "lemma1_g",
+    "grid_search_simplex", "lemma1_f", "lemma1_g",
     "lemma1_h", "lemma1_h_cubic", "limit_diagonal", "lipschitz_gap",
-    "maximize_direction", "rao_blackwell_kernel", "sample_disc",
-    "sample_gamma", "sample_radial", "sample_sphere3",
+    "maximize_direction", "rao_blackwell_kernel",
     "section_volume_quadrature", "sufficient_F", "sufficient_G",
     "tail_bound_outer",
 ]

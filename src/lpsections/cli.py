@@ -18,6 +18,7 @@ import math
 import sys
 
 from . import analysis
+from .closedform import section_value
 from .direction import Direction
 from .hankel import NonConvergenceError, QuadSpec, gamma_kernel, section_volume_quadrature
 from .montecarlo import McSpec, clt_experiment, estimate_section_volume
@@ -102,15 +103,9 @@ def _cmd_volume(args) -> int:
     p = _parse_p(args.p)
     direction, a_spec = _parse_direction(args)
     if args.engine == "closed":
-        nz = direction.nonzero()
-        if len(nz) > 2:
+        value = section_value(p, direction)
+        if value is None:
             raise UsageError("closed engine needs a direction with at most 2 nonzero entries")
-        if len(nz) == 1:
-            value = 1.0
-        elif nz[0] == nz[1]:
-            value = analysis.a2_closed_form(p)
-        else:
-            value = analysis.a2_general(p, nz[0], nz[1])
         row = dict(engine="closed_form", value=value, err_bound=0.0, samples=None, seed=None)
     elif args.engine == "quad":
         res = section_volume_quadrature(p, direction, QuadSpec(tol_abs=args.tol))
@@ -127,8 +122,8 @@ def _cmd_volume(args) -> int:
 
 def _cmd_kernel(args) -> int:
     p = _parse_p(args.p)
-    if args.s_max <= 0 or args.step <= 0:
-        raise UsageError("--s-max and --step must be positive")
+    if not (0 < args.s_max < math.inf and 0 < args.step < math.inf):
+        raise UsageError("--s-max and --step must be finite and positive")
     rows = []
     s = 0.0
     while s <= args.s_max + 1e-12:
@@ -283,10 +278,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-# entry point under its interface name
-run = main
 
 
 if __name__ == "__main__":

@@ -2,12 +2,16 @@
 
 These are the analytically known values: the two-equal-coordinates
 direction, the general two-coordinate direction, and the large-dimension
-limit along the main diagonal.
+limit along the main diagonal.  section_value is the one router from a
+direction to its closed form, for the quadrature engine and the CLI's
+closed engine.
 """
 
 from __future__ import annotations
 
-from .direction import NORM_TOL, is_inf, validate_exponent
+from typing import Optional
+
+from .direction import NORM_TOL, canonicalize, is_inf, validate_exponent
 from .specfun import gamma
 
 
@@ -34,6 +38,18 @@ def a2_general(p: float, b1: float, b2: float) -> float:
     if is_inf(p):
         return max(b1, b2) ** -2.0
     return (b1 ** p + b2 ** p) ** (-2.0 / p)
+
+
+def section_value(p: float, a) -> Optional[float]:
+    """Exact section volume of a direction with one or two nonzero
+    coordinates (1 on a coordinate axis, a2_general for two), or None
+    when no closed form is known."""
+    nz = canonicalize(a).nonzero()
+    if len(nz) == 1:
+        return 1.0
+    if len(nz) == 2:
+        return a2_general(p, nz[0], nz[1])
+    return None
 
 
 def limit_diagonal(p: float) -> float:

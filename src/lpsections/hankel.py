@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .closedform import a2_closed_form, a2_general
+from .closedform import section_value
 from .direction import canonicalize, is_inf, validate_exponent
 from .specfun import gamma, gamma_upper, j0_array, j1_array
 
@@ -65,15 +65,12 @@ class QuadSpec:
     """Quadrature engine configuration.
 
     tol_abs      requested absolute error on the volume
-    inner_tol    cap on the absolute error of one kernel evaluation
-                 (default tol_abs/10; the engine usually does much better)
     panel_order  Gauss-Legendre nodes per panel (>= 8)
     s_max_policy "auto" or a fixed outer cutoff
     panel_budget outer panel limit before declaring non-convergence
     """
 
     tol_abs: float = 1e-8
-    inner_tol: Optional[float] = None
     panel_order: int = 16
     s_max_policy: Union[str, float] = "auto"
     panel_budget: int = 40000
@@ -81,10 +78,6 @@ class QuadSpec:
     def __post_init__(self):
         if not self.tol_abs > 0.0:
             raise ValueError("tol_abs must be positive")
-        if self.inner_tol is None:
-            object.__setattr__(self, "inner_tol", self.tol_abs / 10.0)
-        if self.inner_tol > self.tol_abs / 10.0:
-            raise ValueError("inner_tol must be <= tol_abs / 10")
         if self.panel_order < 8:
             raise ValueError("panel_order must be >= 8")
         if self.s_max_policy != "auto":
@@ -266,10 +259,6 @@ def gamma_kernel(p: float, s: float, inner_tol: float = 1e-10) -> KernelValue:
         raise ValueError(f"kernel argument must be >= 0, got {s}")
     if inner_tol <= 0.0:
         raise ValueError("inner_tol must be positive")
-    if s == 0.0:
-        return KernelValue(1.0, 0.0)
-    if is_inf(p):
-        return KernelValue(float(_j1_normalized(np.array([s]))[0]), 0.0)
     v, e = kernel_values(p, np.array([s]), trunc_target=inner_tol / 2.0)
     return KernelValue(float(v[0]), float(e[0]))
 
@@ -277,16 +266,6 @@ def gamma_kernel(p: float, s: float, inner_tol: float = 1e-10) -> KernelValue:
 # ---------------------------------------------------------------------------
 # Envelopes and outer tail bounds
 # ---------------------------------------------------------------------------
-
-
-def kernel_envelope(p: float, s: float) -> float:
-    """Pointwise bound min(1, 2*0.5819/s * Gamma(1+1/p)/Gamma(1+2/p))
-    on the kernel modulus (ratio factor 1 at p = inf)."""
-    p = validate_exponent(p)
-    if s <= 0.0:
-        raise ValueError(f"envelope requires s > 0, got {s}")
-    ratio = 1.0 if is_inf(p) else gamma(1.0 + 1.0 / p) / gamma(1.0 + 2.0 / p)
-    return min(1.0, 2.0 * J1_MAX_BOUND / s * ratio)
 
 
 @functools.lru_cache(maxsize=256)
@@ -317,7 +296,8 @@ def _envelope_families(p: float):
 
 
 def envelope_refined(p: float, s: float) -> float:
-    """Best available proven pointwise bound on |k_p(s)| (<= kernel_envelope)."""
+    """Best available proven pointwise bound on |k_p(s)| (<= the q=1
+    family min(1, C1/s))."""
     p = validate_exponent(p)
     if s <= 0.0:
         raise ValueError(f"envelope requires s > 0, got {s}")
@@ -469,14 +449,9 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
     p = validate_exponent(p)
     a = canonicalize(a)
     spec = spec or QuadSpec()
-    nz = a.nonzero()
-    if len(nz) == 1:
-        return VolumeResult(1.0, 0.0, "closed_form", {"routed": "coordinate-axis"})
-    if len(nz) == 2:
-        # equal coordinates take the exact 2^(1-2/p) form (avoids the last
-        # ulp of rounding through the normalized pair)
-        val = a2_closed_form(p) if nz[0] == nz[1] else a2_general(p, nz[0], nz[1])
-        return VolumeResult(val, 0.0, "closed_form", {"routed": "two-coordinate"})
+    closed = section_value(p, a)
+    if closed is not None:
+        return VolumeResult(closed, 0.0, "closed_form")
 
     prefactor = 0.5 if is_inf(p) else 0.5 * gamma(1.0 + 2.0 / p)
     if spec.s_max_policy == "auto":
@@ -490,7 +465,7 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
     mults = np.array([g[1] for g in groups])
     # deep enough that propagated kernel error stays far below tol_abs,
     # without paying full depth at loose tolerances
-    trunc_target = min(spec.inner_tol, max(1e-13, spec.tol_abs * 1e-5))
+    trunc_target = min(spec.tol_abs / 10.0, max(1e-13, spec.tol_abs * 1e-5))
     tol_quad = 0.375 * spec.tol_abs / prefactor
     total, quad_est, inner_prop, n_panels, evals = _outer_adaptive(
         p, coeffs, mults, s_max, spec, tol_quad, trunc_target

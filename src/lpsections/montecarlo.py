@@ -33,7 +33,7 @@ import numpy as np
 
 from .direction import Direction, canonicalize, is_inf, validate_exponent
 from .hankel import VolumeResult
-from .randkit import RngStream, sphere3_array
+from .randkit import RngStream, radial_array, sphere3_array
 from .specfun import gamma
 
 _STRATEGIES = ("plain", "rao_blackwell")
@@ -91,11 +91,7 @@ def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int, s
     done = 0
     while done < count:
         m = min(chunk, count - done)
-        if is_inf(p):
-            b = np.broadcast_to(a, (m, n))
-        else:
-            g = gen.standard_gamma(1.0 + 2.0 / p, size=(m, n))
-            b = a[None, :] * g ** (1.0 / p)
+        b = a[None, :] * radial_array(p, (m, n), gen)
         xi = sphere3_array((m, n), gen)
         vec = np.einsum("ij,ijk->ik", b, xi)
         k = np.argmax(b, axis=1)

@@ -22,6 +22,9 @@ from .montecarlo import McSpec, estimate_section_volume
 from .randkit import RngStream
 
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
+# seeded random starting points, after the two-coordinate direction and
+# the main diagonal
+_RANDOM_STARTS = 2
 
 # Squared weights below this are snapped to exact zero before the engine
 # sees the direction.  Near-boundary points otherwise carry a coordinate
@@ -148,7 +151,6 @@ def maximize_direction(
     seed: int = 0,
     quad: Optional[QuadSpec] = None,
     mc: Optional[McSpec] = None,
-    random_starts: int = 2,
 ) -> OptReport:
     """Maximize the section volume over unit directions of length n.
 
@@ -172,7 +174,7 @@ def maximize_direction(
 
     starts = [Direction.two_equal(n).as_array(), Direction.diagonal(n).as_array()]
     rng = RngStream(seed, 0).generator
-    for _ in range(random_starts):
+    for _ in range(_RANDOM_STARTS):
         starts.append(np.abs(rng.standard_normal(n)) + 1e-3)
     share = max(n + 2, budget // len(starts))
 

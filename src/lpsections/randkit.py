@@ -1,6 +1,6 @@
-"""Deterministic, splittable samplers for the three laws behind the
-Monte Carlo volume representation: the radial modulus law, the uniform
-law on the 3-sphere, and the uniform law on the unit disc.
+"""Deterministic, splittable samplers for the two laws behind the Monte
+Carlo volume representation: the radial modulus law and the uniform law
+on the 3-sphere.
 
 Streams are built on the counter-based Philox generator keyed by
 (seed, stream_id): identical keys reproduce identical draw sequences on
@@ -12,7 +12,6 @@ one stream concurrently.  Parallel consumers take distinct stream ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,57 +51,18 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-@dataclass(frozen=True)
-class RadialLaw:
-    """Radial modulus law: density t^(p+1) exp(-t^p) / c on [0, inf) for
-    finite p (c the normalizing constant), the point mass at 1 for
-    p = inf."""
+def radial_array(p: float, size, gen: np.random.Generator) -> np.ndarray:
+    """Draws of the radial modulus R, density t^(p+1) exp(-t^p) / c on
+    [0, inf) for finite p (c the normalizing constant), the point mass
+    at 1 for p = inf.
 
-    p: float
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValueError(f"radial law requires p >= 1, got {self.p}")
-
-    @property
-    def is_degenerate(self) -> bool:
-        return math.isinf(self.p)
-
-
-def sample_gamma(shape: float, stream: RngStream) -> float:
-    """One draw from the gamma law with the given shape, unit scale."""
-    if shape <= 0.0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
-    return float(stream.generator.standard_gamma(shape))
-
-
-def gamma_array(shape: float, size, gen: np.random.Generator) -> np.ndarray:
-    if shape <= 0.0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
-    return gen.standard_gamma(shape, size=size)
-
-
-def sample_radial(law: RadialLaw, stream: RngStream) -> float:
-    """One draw of the radial modulus R.
-
-    For finite p the draw is G**(1/p) with G gamma-distributed of shape
+    For finite p a draw is G**(1/p) with G gamma-distributed of shape
     1 + 2/p; the change of variables u = t^p makes this exact.
     """
-    if law.is_degenerate:
-        return 1.0
-    return float(radial_array(law.p, 1, stream.generator)[0])
-
-
-def radial_array(p: float, size, gen: np.random.Generator) -> np.ndarray:
     if math.isinf(p):
         return np.ones(size)
     g = gen.standard_gamma(1.0 + 2.0 / p, size=size)
     return g ** (1.0 / p)
-
-
-def sample_sphere3(stream: RngStream) -> np.ndarray:
-    """One point uniform on the unit sphere of R^4, as a length-4 array."""
-    return sphere3_array(1, stream.generator)[0]
 
 
 def sphere3_array(size, gen: np.random.Generator) -> np.ndarray:
@@ -117,20 +77,3 @@ def sphere3_array(size, gen: np.random.Generator) -> np.ndarray:
         norms[bad] = np.sqrt((g[bad] * g[bad]).sum(axis=-1))
         bad = norms == 0.0
     return g / norms[..., None]
-
-
-def sample_disc(stream: RngStream) -> np.ndarray:
-    """One point uniform on the closed unit disc, as (re, im).
-
-    Radius-angle method: r = sqrt(U), theta = 2 pi V, exactly two
-    uniforms per draw.
-    """
-    return disc_array(1, stream.generator)[0]
-
-
-def disc_array(size: int, gen: np.random.Generator) -> np.ndarray:
-    u = gen.random(size)
-    v = gen.random(size)
-    r = np.sqrt(u)
-    th = 2.0 * math.pi * v
-    return np.column_stack([r * np.cos(th), r * np.sin(th)])

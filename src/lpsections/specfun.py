@@ -1,38 +1,30 @@
 """Self-contained special-function kernel.
 
 Everything here is a pure function of its arguments (no shared mutable
-state apart from an append-only Bessel-zero cache and the read-only
-Bessel table, built once on first use), so concurrent use is safe.
-Accuracy contracts:
+state apart from the read-only Bessel table, built once on first use),
+so concurrent use is safe.  Accuracy contracts:
 
     ln_gamma    relative error <= 1e-13 on [0.5, 10]
     digamma     absolute error <= 1e-12 on [1, 10]
-    trigamma    absolute error <= 1e-12 on [1, 10]
-    zeta        absolute error <= 1e-12 for alpha >= 2
-    bessel_j0/1 absolute error <= 1e-13 for x <= 50, <= 1e-10 beyond;
-                J1 relative error <= 1e-15 for x <= 1e-2; J0(0) = 1 and
+    j0/j1_array absolute error <= 1e-13 for |x| <= 50, <= 1e-10 beyond;
+                J1 relative error <= 1e-15 for |x| <= 1e-2; J0(0) = 1 and
                 J1(0) = 0 exactly; NaN in, NaN out
     gamma_upper relative error <= 1e-10
 
 Algorithms: Lanczos for ln Gamma; asymptotic series plus downward
-recurrence for digamma/trigamma; Euler-Maclaurin for zeta; for J0/J1 the
-power series up to x = 2, a piecewise polynomial table on (2, 16]
-(degree 13 per interval of width 1/2, interpolating the power series
-summed in 128-bit fixed-point integers) and the Hankel asymptotic
-expansion above; series / Lentz continued fraction for the upper
-incomplete gamma.
+recurrence for digamma; for J0/J1 the power series up to x = 2, a
+piecewise polynomial table on (2, 16] (degree 13 per interval of width
+1/2, interpolating the power series summed in 128-bit fixed-point
+integers) and the Hankel asymptotic expansion above; series / Lentz
+continued fraction for the upper incomplete gamma.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
-
-# Euler's constant, 20 significant digits.
-EULER_GAMMA = 0.57721566490153286061
 
 _SQRT_2PI = 2.5066282746310005024
 
@@ -95,42 +87,6 @@ def digamma(x: float) -> float:
         s -= b / (2 * (k + 1)) * pw
         pw *= inv2
     return s + acc
-
-
-def trigamma(x: float) -> float:
-    """Psi'(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"trigamma requires x > 0, got {x}")
-    acc = 0.0
-    # Psi'(x) = Psi'(x+1) + 1/x^2.
-    while x < 8.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = inv + 0.5 * inv2
-    pw = inv * inv2
-    for k, b in enumerate(_BERNOULLI):
-        s += b * pw
-        pw *= inv2
-    return s + acc
-
-
-def zeta(alpha: float) -> float:
-    """Riemann zeta(alpha) for alpha > 1, by Euler-Maclaurin."""
-    if alpha <= 1.0:
-        raise ValueError(f"zeta requires alpha > 1, got {alpha}")
-    N = 16
-    s = math.fsum(n ** -alpha for n in range(1, N))
-    s += N ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * N ** -alpha
-    fact = alpha
-    pw = N ** (-alpha - 1.0)
-    for k, b in enumerate(_BERNOULLI):
-        twoj = 2 * (k + 1)
-        s += b / math.factorial(twoj) * fact * pw
-        fact *= (alpha + twoj - 1.0) * (alpha + twoj)
-        pw /= N * N
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -293,46 +249,6 @@ def j0_array(x) -> np.ndarray:
 def j1_array(x) -> np.ndarray:
     """Vectorized J1 (odd in x)."""
     return _j_array(np.asarray(x, dtype=np.float64), 1)
-
-
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order 0, for x >= 0."""
-    if x < 0.0:
-        raise ValueError(f"bessel_j0 requires x >= 0, got {x}")
-    return float(j0_array(np.array([x]))[0])
-
-
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind, order 1, for x >= 0."""
-    if x < 0.0:
-        raise ValueError(f"bessel_j1 requires x >= 0, got {x}")
-    return float(j1_array(np.array([x]))[0])
-
-
-_zeros_lock = threading.Lock()
-_j0_zeros_cache = np.empty(0)
-
-
-def bessel_j0_zeros(count: int) -> np.ndarray:
-    """First `count` positive zeros of J0, ascending.
-
-    McMahon's expansion seeds a Newton iteration (J0' = -J1); zeros are
-    separated by roughly pi, which keeps every Newton start inside its
-    own bracket.  Results are cached and shared.
-    """
-    global _j0_zeros_cache
-    if count <= 0:
-        return np.empty(0)
-    with _zeros_lock:
-        if count > _j0_zeros_cache.size:
-            grow = max(count, 2 * _j0_zeros_cache.size, 64)
-            k = np.arange(1, grow + 1, dtype=np.float64)
-            beta = (k - 0.25) * math.pi
-            z = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
-            for _ in range(3):
-                z = z + j0_array(z) / j1_array(z)
-            _j0_zeros_cache = z
-        return _j0_zeros_cache[:count].copy()
 
 
 # ---------------------------------------------------------------------------

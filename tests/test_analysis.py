@@ -33,6 +33,15 @@ class TestClosedForms:
         for p in (2.0, 3.0, 4.0, 9.0, 140.0, INF):
             assert an.a2_closed_form(p) == an.a2_general(p, b, b)
 
+    def test_section_value_router(self):
+        from lpsections.closedform import section_value
+        for p in (2.0, 3.0, 9.0, INF):
+            assert section_value(p, Direction.coordinate(4)) == 1.0
+            # equal pairs give the 2^(1-2/p) form bit for bit
+            assert section_value(p, Direction.two_equal(5)) == an.a2_closed_form(p)
+            assert section_value(p, [0.6, 0.0, 0.8]) == an.a2_general(p, 0.8, 0.6)
+            assert section_value(p, Direction.diagonal(3)) is None
+
     def test_limit_diagonal(self):
         assert an.limit_diagonal(2.0) == pytest.approx(1.0, rel=1e-14)
         assert an.limit_diagonal(4.0) == pytest.approx(math.pi / 2.0, rel=1e-12)

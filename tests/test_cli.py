@@ -95,6 +95,13 @@ class TestKernelTable:
         assert len(lines) == 1 + 5  # s = 0, 0.5, 1.0, 1.5, 2.0
         assert lines[1].split(",")[1:3] == ["0.0", "1.0"]
 
+    def test_non_finite_grid_is_usage_error(self, capsys):
+        # an infinite --s-max never ended, and nan printed a table
+        for flag, other in (("--s-max", ("--step", "1")), ("--step", ("--s-max", "3"))):
+            for bad in ("inf", "nan"):
+                code, out = run_cli(["kernel", "--p", "4", flag, bad, *other], capsys)
+                assert (code, out) == (2, "")
+
     def test_huge_p_exits_3(self, capsys):
         code = cli.main(["kernel", "--p", "1e20", "--s-max", "1", "--step", "0.5"])
         assert code == 3

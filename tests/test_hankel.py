@@ -6,7 +6,7 @@ import pytest
 from lpsections import hankel as hk
 from lpsections.closedform import a2_closed_form, a2_general
 from lpsections.direction import Direction
-from lpsections.specfun import bessel_j1, gamma
+from lpsections.specfun import gamma, j1_array
 
 INF = math.inf
 
@@ -19,6 +19,13 @@ KERNEL_P4_S1_ORACLE = 0.8665252407699683
 KERNEL_ORACLE_SELF_ERR = 2e-11
 
 P_GRID = (1.0, 2.0, 3.0, 4.0, 9.0, 26.0, 140.0, INF)
+
+
+def q1_envelope(p, s):
+    """The q = 1 envelope family, min(1, C1/s), valid for every s > 0."""
+    q, c, x_min = hk._envelope_families(p)[0]
+    assert q == 1.0 and x_min == 0.0
+    return min(1.0, c / s)
 
 
 def trapezoid_kernel_oracle():
@@ -37,7 +44,7 @@ class TestKernel:
     def test_inf_closed_form(self):
         kv = hk.gamma_kernel(INF, 2.0)
         assert kv.err_bound == 0.0
-        assert kv.value == pytest.approx(bessel_j1(2.0), abs=1e-15)
+        assert kv.value == pytest.approx(float(j1_array(2.0)), abs=1e-15)
         assert kv.value == pytest.approx(0.5767248077568734, abs=1e-12)
 
     def test_derived_trapezoid_oracle(self):
@@ -72,30 +79,30 @@ class TestEnvelope:
         # the min clamps whenever 2*0.5819*ratio/s >= 1; at p = 1 the ratio
         # is 1/2, so the clamp holds only below s ~ 0.58 there
         for p in (1.0, 2.0, 4.0, INF):
-            assert hk.kernel_envelope(p, 0.5) == 1.0
+            assert q1_envelope(p, 0.5) == 1.0
         for p in (2.0, 4.0, 9.0, INF):
-            assert hk.kernel_envelope(p, 1.0) == 1.0
-        assert hk.kernel_envelope(1.0, 1.0) == pytest.approx(0.5819, abs=1e-12)
+            assert q1_envelope(p, 1.0) == 1.0
+        assert q1_envelope(1.0, 1.0) == pytest.approx(0.5819, abs=1e-12)
 
     def test_p9_constant_cap(self):
-        assert hk.kernel_envelope(9.0, 2.0) <= 1.2077 / 2.0
+        assert q1_envelope(9.0, 2.0) <= 1.2077 / 2.0
 
     def test_formula_p4_s10(self):
         g_ratio = gamma(1.25) / gamma(1.5)
-        assert hk.kernel_envelope(4.0, 10.0) == pytest.approx(1.1638 / 10.0 * g_ratio, rel=1e-12)
+        assert q1_envelope(4.0, 10.0) == pytest.approx(1.1638 / 10.0 * g_ratio, rel=1e-12)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_dominates_kernel(self, p):
         s = np.linspace(0.05, 50.0, 120)
         vals, errs = hk.kernel_values(p, s)
         for si, v, e in zip(s, vals, errs):
-            assert hk.kernel_envelope(p, float(si)) >= abs(v) - e
+            assert q1_envelope(p, float(si)) >= abs(v) - e
             assert hk.envelope_refined(p, float(si)) >= abs(v) - e
 
     def test_refined_never_looser(self):
         for p in P_GRID:
             for s in (0.5, 2.0, 10.0, 200.0):
-                assert hk.envelope_refined(p, s) <= hk.kernel_envelope(p, s) + 1e-15
+                assert hk.envelope_refined(p, s) <= q1_envelope(p, s) + 1e-15
 
 
 class TestTailBound:
@@ -125,7 +132,7 @@ class TestTailBound:
         lower = float(_trapz(prod * s, s))
         env1 = 1.0
         for c in d.nonzero():
-            env1 *= hk.kernel_envelope(p, 1.0) * 2.0 * 0.5819 * gamma(1.25) / gamma(1.5) / c
+            env1 *= q1_envelope(p, 1.0) * 2.0 * 0.5819 * gamma(1.25) / gamma(1.5) / c
         env1_tail = env1 / s_max  # prod (C1/a_j) * s^(2-3)/(3-2) at s_max
         assert lower <= bound <= env1_tail * 1.0001
 
@@ -139,15 +146,9 @@ class TestQuadSpec:
         with pytest.raises(ValueError):
             hk.QuadSpec(tol_abs=0.0)
         with pytest.raises(ValueError):
-            hk.QuadSpec(tol_abs=1e-6, inner_tol=1e-6)  # must be <= tol/10
-        with pytest.raises(ValueError):
             hk.QuadSpec(panel_order=4)
         with pytest.raises(ValueError):
             hk.QuadSpec(s_max_policy=-3.0)
-
-    def test_default_inner_tol(self):
-        spec = hk.QuadSpec(tol_abs=1e-6)
-        assert spec.inner_tol == pytest.approx(1e-7)
 
 
 class TestSectionVolume:

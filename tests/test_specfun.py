@@ -14,7 +14,6 @@ EULER = 0.57721566490153286061
 # Frozen oracle values. Each was produced by the independent oracle coded
 # next to it (re-run cheaply here where feasible).
 DIGAMMA_15_ORACLE = 0.03648997397857653   # 1e6-term series + log tail
-ZETA_3_ORACLE = 1.2020569031595943        # Euler-Maclaurin, N=50, 5 Bernoulli terms
 GAMMA_UPPER_15_2_ORACLE = 0.2317165520009807  # adaptive quadrature of the integrand
 
 
@@ -24,20 +23,6 @@ def digamma_series_oracle(x_shift: float, n_terms: int = 10 ** 6) -> float:
     partial = math.fsum((x_shift / (k * (k + x_shift)))[::-1])
     tail = math.log1p(x_shift / (n_terms + 0.5))
     return -EULER + partial + tail
-
-
-def zeta_em_oracle(alpha: float, n_cut: int = 50) -> float:
-    """Euler-Maclaurin partial-sum oracle, deliberately different N than specfun."""
-    s = math.fsum(n ** -alpha for n in range(1, n_cut))
-    s += n_cut ** (1 - alpha) / (alpha - 1) + 0.5 * n_cut ** -alpha
-    bern = [(2, 1.0 / 6), (4, -1.0 / 30), (6, 1.0 / 42), (8, -1.0 / 30), (10, 5.0 / 66)]
-    fact = alpha
-    pw = n_cut ** (-alpha - 1.0)
-    for twoj, b in bern:
-        s += b / math.factorial(twoj) * fact * pw
-        fact *= (alpha + twoj - 1) * (alpha + twoj)
-        pw /= n_cut * n_cut
-    return s
 
 
 class TestLnGamma:
@@ -69,36 +54,9 @@ class TestDigammaTrigamma:
         # regenerate the oracle to guard the frozen constant
         assert digamma_series_oracle(0.5) == pytest.approx(DIGAMMA_15_ORACLE, abs=1e-12)
 
-    def test_trigamma_known_values(self):
-        pi2_6 = math.pi ** 2 / 6.0
-        assert sf.trigamma(1.0) == pytest.approx(pi2_6, abs=1e-12)
-        assert sf.trigamma(2.0) == pytest.approx(pi2_6 - 1.0, abs=1e-12)
-        assert sf.trigamma(3.0) == pytest.approx(pi2_6 - 1.25, abs=1e-12)
-
-    def test_trigamma_positive_decreasing(self):
-        xs = np.linspace(1.0, 4.0, 61)
-        vals = [sf.trigamma(float(x)) for x in xs]
-        assert all(v > 0 for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_domain(self):
-        for fn in (sf.digamma, sf.trigamma):
-            with pytest.raises(ValueError):
-                fn(0.0)
-
-
-class TestZeta:
-    def test_known_values(self):
-        assert sf.zeta(2.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-12)
-        assert sf.zeta(4.0) == pytest.approx(math.pi ** 4 / 90.0, abs=1e-12)
-
-    def test_derived_oracle(self):
-        assert sf.zeta(3.0) == pytest.approx(ZETA_3_ORACLE, abs=1e-12)
-        assert zeta_em_oracle(3.0) == pytest.approx(ZETA_3_ORACLE, abs=1e-12)
-
     def test_domain(self):
         with pytest.raises(ValueError):
-            sf.zeta(1.0)
+            sf.digamma(0.0)
 
 
 class TestRecurrences:
@@ -117,33 +75,19 @@ class TestRecurrences:
             x = float(x)
             assert abs(sf.digamma(x + 1.0) - sf.digamma(x) - 1.0 / x) <= 1e-11
 
-    def test_trigamma_recurrence(self):
-        for x in self.GRID:
-            x = float(x)
-            assert abs(sf.trigamma(x + 1.0) - sf.trigamma(x) + 1.0 / x ** 2) <= 1e-11
-
 
 class TestBessel:
     def test_at_zero(self):
-        assert sf.bessel_j0(0.0) == 1.0
-        assert sf.bessel_j1(0.0) == 0.0
+        assert sf.j0_array(0.0) == 1.0
+        assert sf.j1_array(0.0) == 0.0
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sf.bessel_j0(-0.1)
-        with pytest.raises(ValueError):
-            sf.bessel_j1(-0.1)
-
-    def test_first_j0_zero(self):
-        z = sf.bessel_j0_zeros(1)[0]
-        assert z == pytest.approx(2.4048, abs=5e-4)  # value quoted to 5 digits
-        assert abs(sf.bessel_j0(float(z))) < 1e-12
-
-    def test_j0_zeros_spacing_and_residuals(self):
-        zs = sf.bessel_j0_zeros(200)
-        assert np.all(np.diff(zs) > 3.0)
-        assert np.all(np.diff(zs) < math.pi + 0.2)
-        assert max(abs(sf.bessel_j0(float(z))) for z in zs) < 1e-11
+    def test_residuals_at_j0_zeros(self):
+        # the first 200 zeros reach x ~ 628, far into the Hankel branch
+        sp = pytest.importorskip("scipy.special")
+        zs = sp.jn_zeros(0, 200)
+        assert zs[0] == pytest.approx(2.4048, abs=5e-4)  # value quoted to 5 digits
+        assert abs(sf.j0_array(zs[0])) < 1e-12
+        assert np.max(np.abs(sf.j0_array(zs))) < 1e-11
 
     def test_j1_max(self):
         # coarse grid then golden refinement around the maximum
@@ -157,10 +101,10 @@ class TestBessel:
     def test_j1_first_zero_by_rootfinding(self):
         # bracketing + bisection between the max (1.84) and 5
         lo, hi = 2.0, 5.0
-        assert sf.bessel_j1(lo) > 0 > sf.bessel_j1(hi)
+        assert sf.j1_array(lo) > 0 > sf.j1_array(hi)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if sf.bessel_j1(mid) > 0:
+            if sf.j1_array(mid) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -180,8 +124,8 @@ class TestBessel:
         h = 1e-6
         for x in np.linspace(0.1, 30.0, 60):
             x = float(x)
-            lhs = ((x + h) * sf.bessel_j1(x + h) - (x - h) * sf.bessel_j1(x - h)) / (2 * h)
-            assert lhs == pytest.approx(x * sf.bessel_j0(x), abs=1e-5)
+            lhs = ((x + h) * sf.j1_array(x + h) - (x - h) * sf.j1_array(x - h)) / (2 * h)
+            assert lhs == pytest.approx(x * sf.j0_array(x), abs=1e-5)
 
     def test_accuracy_vs_mpmath(self):
         mp = pytest.importorskip("mpmath")

@@ -25,11 +25,9 @@ from .analysis import (
 )
 from .direction import Direction, canonicalize
 from .hankel import (
-    KernelValue,
     NonConvergenceError,
     QuadSpec,
     VolumeResult,
-    gamma_kernel,
     section_volume_quadrature,
     tail_bound_outer,
 )
@@ -46,11 +44,11 @@ from .randkit import RngStream
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossingReport", "Direction", "Ineq", "KernelValue", "LipschitzReport",
+    "CrossingReport", "Direction", "Ineq", "LipschitzReport",
     "McEstimate", "McSpec", "NonConvergenceError", "OptReport", "QuadSpec",
     "RngStream", "VolumeResult",
     "a2_closed_form", "a2_general", "canonicalize", "clt_experiment",
-    "crossing_scan", "estimate_section_volume", "gamma_kernel",
+    "crossing_scan", "estimate_section_volume",
     "grid_search_simplex", "lemma1_f", "lemma1_g",
     "lemma1_h", "lemma1_h_cubic", "limit_diagonal", "lipschitz_gap",
     "maximize_direction", "rao_blackwell_kernel",

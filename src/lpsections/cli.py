@@ -17,10 +17,12 @@ import json
 import math
 import sys
 
-from . import analysis
+import numpy as np
+
+from . import analysis, hankel
 from .closedform import section_value
 from .direction import Direction
-from .hankel import NonConvergenceError, QuadSpec, gamma_kernel, section_volume_quadrature
+from .hankel import NonConvergenceError, QuadSpec, section_volume_quadrature
 from .montecarlo import McSpec, clt_experiment, estimate_section_volume
 from .optimize import maximize_direction
 from .schemas import SCHEMAS, validate_output
@@ -29,6 +31,9 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+
+# a `kernel` table needs --s-max / --step below this (about as many rows)
+KERNEL_MAX_ROWS = 10 ** 6
 
 
 class UsageError(ValueError):
@@ -124,12 +129,17 @@ def _cmd_kernel(args) -> int:
     p = _parse_p(args.p)
     if not (0 < args.s_max < math.inf and 0 < args.step < math.inf):
         raise UsageError("--s-max and --step must be finite and positive")
-    rows = []
+    if (args.s_max + 1e-12) / args.step >= KERNEL_MAX_ROWS:
+        raise UsageError(f"--s-max / --step must be below {KERNEL_MAX_ROWS} (one row per step)")
+    grid = []
     s = 0.0
     while s <= args.s_max + 1e-12:
-        kv = gamma_kernel(p, s, inner_tol=max(args.tol, 1e-12))
-        rows.append(dict(p=_format_p(p), s=float(s), value=kv.value, err_bound=kv.err_bound))
+        grid.append(s)
         s += args.step
+    # looked up on the module, so that a hook on hankel.kernel_values sees this call
+    values, errs = hankel.kernel_values(p, np.array(grid), trunc_target=max(args.tol, 1e-12) / 2.0)
+    rows = [dict(p=_format_p(p), s=float(s), value=float(v), err_bound=float(e))
+            for s, v, e in zip(grid, values, errs)]
     _emit(args, "kernel", rows)
     return EXIT_OK
 
@@ -224,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_volume)
 
-    sp = sub.add_parser("kernel", help="kernel table on an s grid")
+    kernel_help = f"kernel table on an s grid (--s-max / --step below {KERNEL_MAX_ROWS})"
+    sp = sub.add_parser("kernel", help=kernel_help, description=kernel_help)
     sp.add_argument("--p", required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)

@@ -22,12 +22,26 @@ Error model
   weight varies by at most one octave per cell, whatever p) and
   subdivided to quarter-period width (so each panel sees at most one
   sign change of the oscillatory factor).
+* For finite p the outer quadrature reads the kernel from a per-p
+  piecewise Chebyshev table (degree 24 on panels of width 2, nodes from
+  kernel_values).  Each table value carries a certified bound: the
+  kernel's x-uniform errors (truncation, flat head) once, the nodes'
+  quadrature estimates times the Lebesgue constant, the interpolation
+  error from the kernel's maximum on a Bernstein ellipse (Trefethen,
+  ATAP Thm 8.2), and rounding.  Panels whose bound exceeds the kernel
+  target, and every p without a usable bound (p = 1), are evaluated
+  directly.
 * The outer integral is truncated at s_max with a rigorous envelope
   bound (tail_bound_outer) and integrated adaptively, panel error again
   from order doubling, inner kernel errors propagated through the
   product rule |d prod| <= sum_j |d k_j| * prod of bounds.
 
-Everything is pure and reentrant; results depend only on the arguments.
+Results depend only on the arguments.  The only shared state is a set of
+lazily filled caches (radial cells, truncation radii, envelope families
+and the per-p kernel tables); a table panel depends only on (p, kernel
+target, order, panel index), and a table grows by swapping in new
+arrays, so concurrent calls stay safe and cache state never shows in a
+result.
 """
 
 from __future__ import annotations
@@ -83,12 +97,6 @@ class QuadSpec:
         if self.s_max_policy != "auto":
             if not float(self.s_max_policy) > 0.0:
                 raise ValueError("fixed s_max must be positive")
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    value: float
-    err_bound: float
 
 
 @dataclass(frozen=True)
@@ -165,6 +173,15 @@ def _weight_cells(p: float, r_max: float, levels: int):
     return float(edges[0]), edges[:-1].copy(), np.diff(edges)
 
 
+def _head_levels(trunc_target: float) -> int:
+    """Octaves of dyadic radial cells below u = r^p = 1 (see _weight_cells)."""
+    return int(min(48, max(20, math.ceil(-math.log2(trunc_target)))))
+
+
+def _head_cert(r_flat: float, levels: int) -> float:
+    return 2.0 ** -levels * 0.5 * r_flat * r_flat
+
+
 def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, order: int, levels: int):
     """Raw integral int_0^r_max J0(x r) exp(-r^p) r dr for an array of
     nonnegative x, plus an order-halving error estimate (the reported
@@ -177,7 +194,7 @@ def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, order: int, levels
     # closed-form head: int_0^r_flat J0(x r) r dr = r_flat^2/2 * j1n(x r_flat),
     # exact up to the certified weight deviation 2^-levels * r_flat^2 / 2
     head = 0.5 * r_flat * r_flat * _j1_normalized(x * r_flat)
-    head_cert = 2.0 ** -levels * 0.5 * r_flat * r_flat
+    head_cert = _head_cert(r_flat, levels)
 
     vals = np.empty_like(x)
     ests = np.empty_like(x)
@@ -237,7 +254,7 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13, order: int = 16):
     if is_inf(p):
         return _j1_normalized(x), np.zeros_like(x)
     r_max, cert = _trunc_radius(p, trunc_target)
-    levels = int(min(48, max(20, math.ceil(-math.log2(trunc_target)))))
+    levels = _head_levels(trunc_target)
     pref = 2.0 / gamma(1.0 + 2.0 / p)
     vals = np.empty_like(x)
     errs = np.empty_like(x)
@@ -252,15 +269,231 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13, order: int = 16):
     return vals, errs
 
 
-def gamma_kernel(p: float, s: float, inner_tol: float = 1e-10) -> KernelValue:
-    """One kernel value with a certified-plus-estimated error bound."""
-    p = validate_exponent(p)
-    if s < 0.0:
-        raise ValueError(f"kernel argument must be >= 0, got {s}")
-    if inner_tol <= 0.0:
-        raise ValueError("inner_tol must be positive")
-    v, e = kernel_values(p, np.array([s]), trunc_target=inner_tol / 2.0)
-    return KernelValue(float(v[0]), float(e[0]))
+# ---------------------------------------------------------------------------
+# Per-p Chebyshev table of the kernel (the outer quadrature's evaluator)
+# ---------------------------------------------------------------------------
+
+# Panel i covers [2i, 2i + 2] and carries the degree-24 interpolant of
+# k_p at the 25 Chebyshev points of the second kind mapped onto it.
+_CHEB_WIDTH = 2.0
+_CHEB_DEGREE = 24
+# Lebesgue constant bound of those points, 1 + (2/pi) ln(n + 1) (Trefethen,
+# Approximation Theory and Approximation Practice, Thm 15.2)
+_CHEB_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_CHEB_DEGREE + 1)
+# Bernstein ellipse parameters tried for the interpolation bound, and the
+# cells per family of the Riemann sum that bounds the kernel on each
+_RHO_GRID = tuple(np.geomspace(1.5, 256.0, 48))
+_M_CELLS = 512
+# panels per kernel_values call while filling, and the table's extent
+# (arguments beyond 2 * _TABLE_MAX_PANELS are evaluated directly)
+_BUILD_PANELS = 128
+_TABLE_MAX_PANELS = 1 << 16
+_U = 2.0 ** -53  # unit roundoff of float64
+_U_LD = float(np.finfo(np.longdouble).epsneg)
+
+
+def _gamma_n(k: int, u: float) -> float:
+    return k * u / (1.0 - k * u)
+
+
+@functools.lru_cache(maxsize=256)
+def _interp_bound(p: float) -> float:
+    """Certified bound on |k - q| over any panel, q the degree-24
+    Chebyshev interpolant of k = k_p, or of the kernel that
+    kernel_values integrates (truncated at r_max, weight 1 on the flat
+    head, where e^-r^p > 1 - 2^-20).
+
+    ATAP Thm 8.2 gives |k - q| <= 4 M rho^-n / (rho - 1) when |k| <= M
+    on the Bernstein ellipse E_rho of the panel.  On a panel of half-width
+    1, E_rho lies in the strip |Im z| <= b = (rho - 1/rho)/2, where
+    |J0(w)| <= e^|Im w| gives
+
+        |k(z)| <= M(b) = 2/Gamma(1+2/p) int_0^inf e^(b r - r^p) r dr.
+
+    M(b) is bounded by an upper Riemann sum on [0, R] (monotone factors:
+    e^(b hi - lo^p) hi per cell) plus the tail beyond R = (2b)^(1/(p-1)),
+    where b r <= r^p / 2; the factor 1 + 1e-5 covers the flat head and
+    rounding.  Returns the minimum over a fixed rho grid, or inf when no
+    ellipse gives a finite bound (p = 1: M(b) is finite only for b < 1,
+    and the bound is useless there)."""
+    if not p > 1.0:
+        return math.inf
+    n = _CHEB_DEGREE
+    grid = np.linspace(0.0, 1.0, _M_CELLS + 1)
+    # edges in units of R, uniform in r and in r^p
+    unit = np.unique(np.concatenate([grid, grid ** (1.0 / p)]))
+    pref = 2.0 / gamma(1.0 + 2.0 / p)
+    best = math.inf
+    for rho in _RHO_GRID:
+        b = 0.5 * (rho - 1.0 / rho)
+        log_r = math.log(2.0 * b) / (p - 1.0)
+        if log_r > 300.0:
+            break  # b grows along the grid, and so does R
+        big_r = math.exp(log_r) * (1.0 + 1e-9)
+        try:
+            big_rp = big_r ** p
+            if not big_r ** (p - 1.0) >= 2.0 * b * (1.0 + 1e-12):
+                continue
+        except OverflowError:
+            continue
+        edges = big_r * unit
+        lo, hi = edges[:-1], edges[1:]
+        with np.errstate(over="ignore"):
+            head = float(np.sum(np.exp(b * hi - lo ** p) * hi * (hi - lo)))
+        if p >= 2.0:
+            # r = r^(p-1) r^(2-p) <= r^(p-1) R^(2-p) for r >= R
+            tail = big_r ** (2.0 - p) * 2.0 / p * math.exp(-0.5 * big_rp)
+        else:
+            # u = r^p / 2 turns the tail into a Gamma(2/p, R^p/2) integral
+            tail = 2.0 ** (2.0 / p) / p * gamma_upper(2.0 / p, 0.5 * big_rp)
+        m = pref * (head + tail) * (1.0 + 1e-5)
+        if math.isfinite(m):
+            best = min(best, 4.0 * m * rho ** -n / (rho - 1.0))
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def _cheb_basis():
+    """Panel nodes t_k = cos(k pi / n) and the discrete Chebyshev
+    transform from node values to coefficients (longdouble, so that the
+    transform's own rounding stays far below the double result's)."""
+    n = _CHEB_DEGREE
+    # sin form: exactly antisymmetric, with t = 0 in the middle
+    t = np.sin(math.pi * (n - 2.0 * np.arange(n + 1)) / (2.0 * n))
+    ld = np.longdouble
+    pi = ld(4.0) * np.arctan(ld(1.0))
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
+    dct = np.cos(jk.astype(ld) * pi / ld(n)) * ld(2.0 / n)
+    dct[:, [0, n]] *= ld(0.5)
+    dct[[0, n], :] *= ld(0.5)
+    dct.flags.writeable = False
+    return t, dct
+
+
+def _clenshaw(coeffs: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j, idx] T_j(t): Clenshaw's recurrence with one
+    coefficient gather per step."""
+    two_t = t + t
+    b1 = coeffs[-1].take(idx)
+    b2 = np.zeros_like(t)
+    for row in coeffs[-2:0:-1]:
+        b0 = two_t * b1
+        b0 += row.take(idx)
+        b0 -= b2
+        b2, b1 = b1, b0
+    out = t * b1
+    out += coeffs[0].take(idx)
+    out -= b2
+    return out
+
+
+class _KernelTable:
+    """Piecewise Chebyshev table of k_p for one (p, trunc_target, order),
+    filled panel by panel on demand.
+
+    `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
+    lowest degree first, and one certified error per panel (inf where the
+    bound exceeds trunc_target, so the panel is evaluated directly).  A
+    panel depends on nothing but (p, trunc_target, order, its index), so
+    results do not depend on which call filled the table; filling builds
+    new arrays and swaps them in, so concurrent readers never see a
+    partial state."""
+
+    def __init__(self, p: float, trunc_target: float, order: int):
+        self.p, self.trunc_target, self.order = p, trunc_target, order
+        self.interp = _interp_bound(p)
+        r_max, cert = _trunc_radius(p, trunc_target)
+        levels = _head_levels(trunc_target)
+        r_flat = _weight_cells(p, r_max, levels)[0]
+        self.uniform = cert + 2.0 / gamma(1.0 + 2.0 / p) * _head_cert(r_flat, levels)
+        self.state = (np.empty((_CHEB_DEGREE + 1, 0)), np.empty(0))
+
+    def _panels(self, first: int, stop: int):
+        """Coefficients, certified errors and the number of kernel_values
+        points evaluated for panels first .. stop-1.
+
+        kernel_values' error bound at x != 0 is `uniform` plus its
+        Gauss-Legendre estimate.  `uniform` (truncation tail and flat-head
+        weight) bounds one smooth function of x at every x, so the table
+        interpolates the kernel without it and adds it once.  Per panel:
+        * the node estimates pass through the Lebesgue constant;
+        * the interpolation error is _interp_bound(p);
+        * rounding: the longdouble transform and the coefficients'
+          rounding to double, Clenshaw's local errors (|b_k| <=
+          sum_j>=k (j-k+1)|c_j|, |T_j| <= 1), and the rounding of node
+          and query abscissae (u (1 + |x|) each, through |q'| <=
+          sum j^2 |c_j|, doubled for the interpolation error's slope).
+        """
+        t, dct = _cheb_basis()
+        n = _CHEB_DEGREE
+        half = 0.5 * _CHEB_WIDTH
+        centres = _CHEB_WIDTH * np.arange(first, stop, dtype=np.float64) + half
+        x = centres[:, None] + half * t[None, :]
+        # kernel_values returns k(0) = 1 exactly, not the quadrature that
+        # every other node carries; k is even and smooth, so sampling that
+        # quadrature at x = 1e-100 instead moves k by about 1e-200
+        x[x == 0.0] = 1e-100
+        # neighbouring panels share their end nodes: evaluate each once
+        xs, inverse = np.unique(x, return_inverse=True)
+        vals, errs = kernel_values(self.p, xs, trunc_target=self.trunc_target, order=self.order)
+        vals = vals[inverse].reshape(x.shape)
+        errs = errs[inverse].reshape(x.shape)
+        coeffs = (vals.astype(np.longdouble) @ dct.T).astype(np.float64)
+
+        node = np.max(errs - self.uniform + 4.0 * _U * errs, axis=1)
+        j = np.arange(n + 1, dtype=np.float64)
+        mag = np.abs(coeffs)
+        transform = _gamma_n(n + 3, _U_LD) * (np.abs(vals) @ np.abs(dct).astype(np.float64).T).sum(axis=1)
+        clenshaw = 2.0 * _gamma_n(3, _U) * (mag @ (1.0 + 1.5 * j * (j + 1.0)))
+        abscissae = _U * (1.0 + _CHEB_LEBESGUE) * (2.0 + centres + half) * 2.0 * (mag @ (j * j))
+        rounding = _U * mag.sum(axis=1) + transform + clenshaw + abscissae
+        err = self.uniform + _CHEB_LEBESGUE * node + self.interp + rounding
+        err[~(err <= self.trunc_target)] = math.inf
+        return coeffs.T, err, xs.size
+
+    def lookup(self, x: np.ndarray):
+        """(values, errors, nodes added, interpolation bound or 0.0 if no
+        value came from the table) for nonnegative finite x.  Points on
+        panels without a certified fit, or past the table's extent, come
+        from kernel_values directly."""
+        idx = np.minimum(x * (1.0 / _CHEB_WIDTH), _TABLE_MAX_PANELS - 1).astype(np.intp)
+        coeffs, errs = self.state
+        need = int(idx.max()) + 1
+        parts = [self._panels(lo, min(lo + _BUILD_PANELS, need))
+                 for lo in range(errs.size, need, _BUILD_PANELS)]
+        if parts:
+            coeffs = np.concatenate([coeffs] + [c for c, _, _ in parts], axis=1)
+            errs = np.concatenate([errs] + [e for _, e, _ in parts])
+            self.state = (coeffs, errs)
+        err = errs.take(idx)
+        err[x >= _CHEB_WIDTH * _TABLE_MAX_PANELS] = math.inf
+        t = x - (_CHEB_WIDTH * idx + 0.5 * _CHEB_WIDTH)
+        vals = _clenshaw(coeffs, idx, t)
+        direct = np.isinf(err)
+        if np.any(direct):
+            vals[direct], err[direct] = kernel_values(
+                self.p, x[direct], trunc_target=self.trunc_target, order=self.order
+            )
+        interp = 0.0 if np.all(direct) else self.interp
+        return vals, err, sum(count for _, _, count in parts), interp
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_table(p: float, trunc_target: float, order: int) -> _KernelTable:
+    return _KernelTable(p, trunc_target, order)
+
+
+def _kernel_lookup(p, x, trunc_target, order):
+    """Kernel values for the outer quadrature: (values, errors, table
+    nodes added, interpolation bound of the table values or 0.0).
+
+    Finite p uses the per-p table when its interpolation bound is within
+    trunc_target; p = inf (a closed form) and p = 1 (no usable ellipse)
+    call kernel_values directly."""
+    if is_inf(p) or not _interp_bound(p) <= trunc_target:
+        kv, ke = kernel_values(p, x, trunc_target=trunc_target, order=order)
+        return kv, ke, 0, 0.0
+    return _kernel_table(p, trunc_target, order).lookup(x)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +601,8 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
     acc_est: list[float] = []
     acc_prop: list[float] = []
     n_accepted = 0
-    evals = 0
+    evals = nodes = 0
+    interp_bound = 0.0
     min_width = s_max * 1e-12
 
     while pending:
@@ -387,8 +621,10 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
         s_nodes_2 = (mid[:, None] + half[:, None] * g2[None, :]).ravel()
         s_all = np.concatenate([s_nodes_1, s_nodes_2])
         x_all = (coeffs[:, None] * s_all[None, :]).ravel()
-        kv, ke = kernel_values(p, x_all, trunc_target=trunc_target, order=order)
+        kv, ke, added, interp = _kernel_lookup(p, x_all, trunc_target, order)
         evals += x_all.size
+        nodes += added
+        interp_bound = max(interp_bound, interp)
         kv = kv.reshape(coeffs.size, s_all.size)
         ke = ke.reshape(coeffs.size, s_all.size)
         prod = np.prod(kv ** mults[:, None], axis=0)
@@ -425,6 +661,8 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
         math.fsum(acc_prop),
         n_accepted,
         evals,
+        nodes,
+        interp_bound,
     )
 
 
@@ -467,7 +705,7 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
     # without paying full depth at loose tolerances
     trunc_target = min(spec.tol_abs / 10.0, max(1e-13, spec.tol_abs * 1e-5))
     tol_quad = 0.375 * spec.tol_abs / prefactor
-    total, quad_est, inner_prop, n_panels, evals = _outer_adaptive(
+    total, quad_est, inner_prop, n_panels, evals, nodes, interp = _outer_adaptive(
         p, coeffs, mults, s_max, spec, tol_quad, trunc_target
     )
     value = prefactor * total
@@ -476,6 +714,8 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
         "s_max": s_max,
         "panels": n_panels,
         "kernel_evals": evals,
+        "kernel_nodes": nodes,
+        "kernel_interp_bound": interp,
         "tail_bound": tail,
         "quadrature_estimate": prefactor * quad_est,
         "kernel_error_propagated": prefactor * inner_prop,

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -101,6 +102,14 @@ class TestKernelTable:
             for bad in ("inf", "nan"):
                 code, out = run_cli(["kernel", "--p", "4", flag, bad, *other], capsys)
                 assert (code, out) == (2, "")
+
+    def test_row_cap_is_usage_error(self, capsys):
+        # past 2^53 steps `s += step` stops moving s, and 1e300 rows never end
+        for argv in (["kernel", "--p", "inf", "--s-max", "1e17", "--step", "1"],
+                     ["kernel", "--p", "4", "--s-max", "1", "--step", "1e-300"]):
+            t0 = time.perf_counter()
+            assert run_cli(argv, capsys) == (2, "")
+            assert time.perf_counter() - t0 < 2.0
 
     def test_huge_p_exits_3(self, capsys):
         code = cli.main(["kernel", "--p", "1e20", "--s-max", "1", "--step", "0.5"])

@@ -21,6 +21,12 @@ KERNEL_ORACLE_SELF_ERR = 2e-11
 P_GRID = (1.0, 2.0, 3.0, 4.0, 9.0, 26.0, 140.0, INF)
 
 
+def kernel_at(p, s, trunc_target=5e-11):
+    """One direct kernel value and its error bound."""
+    vals, errs = hk.kernel_values(p, np.array([s]), trunc_target=trunc_target)
+    return float(vals[0]), float(errs[0])
+
+
 def q1_envelope(p, s):
     """The q = 1 envelope family, min(1, C1/s), valid for every s > 0."""
     q, c, x_min = hk._envelope_families(p)[0]
@@ -38,26 +44,26 @@ def trapezoid_kernel_oracle():
 class TestKernel:
     def test_value_one_at_zero(self):
         for p in P_GRID:
-            kv = hk.gamma_kernel(p, 0.0)
-            assert kv.value == 1.0 and kv.err_bound == 0.0
+            value, err = kernel_at(p, 0.0)
+            assert value == 1.0 and err == 0.0
 
     def test_inf_closed_form(self):
-        kv = hk.gamma_kernel(INF, 2.0)
-        assert kv.err_bound == 0.0
-        assert kv.value == pytest.approx(float(j1_array(2.0)), abs=1e-15)
-        assert kv.value == pytest.approx(0.5767248077568734, abs=1e-12)
+        value, err = kernel_at(INF, 2.0)
+        assert err == 0.0
+        assert value == pytest.approx(float(j1_array(2.0)), abs=1e-15)
+        assert value == pytest.approx(0.5767248077568734, abs=1e-12)
 
     def test_derived_trapezoid_oracle(self):
-        kv = hk.gamma_kernel(4.0, 1.0, inner_tol=1e-10)
-        assert abs(kv.value - KERNEL_P4_S1_ORACLE) <= kv.err_bound + KERNEL_ORACLE_SELF_ERR
+        value, err = kernel_at(4.0, 1.0)
+        assert abs(value - KERNEL_P4_S1_ORACLE) <= err + KERNEL_ORACLE_SELF_ERR
         # regenerate the oracle to guard the frozen constant
         assert trapezoid_kernel_oracle() == pytest.approx(KERNEL_P4_S1_ORACLE, abs=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            hk.gamma_kernel(4.0, -1.0)
+            kernel_at(4.0, -1.0)
         with pytest.raises(ValueError):
-            hk.gamma_kernel(0.5, 1.0)
+            kernel_at(0.5, 1.0)
         for bad in (math.nan, math.inf):
             for p in (4.0, INF):
                 with pytest.raises(ValueError):
@@ -70,8 +76,8 @@ class TestKernel:
             assert np.all(np.abs(vals) <= 1.0 + errs + 1e-15)
 
     def test_invariant_value_within_one_plus_err(self):
-        kv = hk.gamma_kernel(9.0, 0.3)
-        assert abs(kv.value) <= 1.0 + kv.err_bound
+        value, err = kernel_at(9.0, 0.3)
+        assert abs(value) <= 1.0 + err
 
 
 class TestEnvelope:
@@ -251,3 +257,99 @@ class TestCrossEngineLight:
         q = hk.section_volume_quadrature(4.0, Direction.diagonal(3), hk.QuadSpec(tol_abs=1e-5))
         m = estimate_section_volume(4.0, Direction.diagonal(3), McSpec(samples=400_000, seed=11))
         assert abs(q.value - m.value) <= 4.0 * m.err_bound + q.err_bound
+
+
+TABLE_PS = (1.5, 2.3, 3.0, 4.0, 7.5, 9.0, 40.0, 140.0, 500.0)
+
+
+def mpmath_kernel(p, x):
+    """k_p(x) to about 25 digits: the radial integral on quarter-unit
+    cells up to where exp(-r^p) is below 1e-27."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        r_end = mpmath.mpf(63) ** (mpmath.mpf(1) / p)
+        cells = mpmath.linspace(0, r_end, int(mpmath.ceil(4 * r_end)) + 1)
+        integral = mpmath.quad(lambda r: mpmath.besselj(0, x * r) * mpmath.exp(-r ** p) * r, cells)
+        return float(2 / mpmath.gamma(1 + mpmath.mpf(2) / p) * integral)
+
+
+class TestChebyshevKernelTable:
+    @pytest.mark.parametrize("trunc_target", [1e-11, 1e-13])
+    @pytest.mark.parametrize("p", TABLE_PS)
+    def test_within_direct_bounds(self, p, trunc_target):
+        x = np.linspace(0.0, 60.0, 400)
+        table = hk._KernelTable(p, trunc_target, 16)
+        tv, te, added, interp = table.lookup(x)
+        # every panel is certified within the target, so no value fell back
+        assert added > 0 and 0.0 < interp and np.all(table.state[1] <= trunc_target)
+        dv, de = hk.kernel_values(p, x, trunc_target=trunc_target)
+        assert np.all(np.abs(tv - dv) <= te + de)
+
+    @pytest.mark.parametrize("p", [3.0, 9.0])
+    def test_against_mpmath(self, p):
+        x = np.array([0.0, 0.3, 1.0, 1.9, 2.0, 3.7, 6.1, 9.5, 14.2, 19.9])
+        tv, te, _, _ = hk._KernelTable(p, 1e-13, 16).lookup(x)
+        for xi, v, e in zip(x, tv, te):
+            assert abs(v - mpmath_kernel(p, float(xi))) <= e
+
+    def test_build_order_independent(self):
+        stepwise = hk._KernelTable(40.0, 1e-12, 16)
+        stepwise.lookup(np.array([100.0]))
+        stepwise.lookup(np.array([200.0]))
+        at_once = hk._KernelTable(40.0, 1e-12, 16)
+        at_once.lookup(np.array([200.0]))
+        for a, b in zip(stepwise.state, at_once.state):
+            assert np.array_equal(a, b)
+
+    def test_p1_takes_the_direct_path(self):
+        x = np.linspace(0.1, 30.0, 50)
+        kv, ke, added, interp = hk._kernel_lookup(1.0, x, 1e-12, 16)
+        dv, de = hk.kernel_values(1.0, x, trunc_target=1e-12, order=16)
+        assert (added, interp) == (0, 0.0)
+        assert np.array_equal(kv, dv) and np.array_equal(ke, de)
+        # the bits of the direct-evaluation engine
+        res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), hk.QuadSpec(tol_abs=1e-4))
+        assert (res.value, res.err_bound) == (0.42857140908542185, 1.934888663814945e-05)
+        assert res.meta["kernel_nodes"] == 0
+
+    def test_huge_p_exits_3(self, capsys):
+        from lpsections import cli
+
+        assert cli.main(["volume", "--p", "1e20", "--diag", "3", "--engine", "quad"]) == 3
+
+    def test_repeat_adds_no_nodes(self):
+        d, spec = Direction([1.0, 0.8, 0.6]), hk.QuadSpec(tol_abs=1e-6)
+        first = hk.section_volume_quadrature(6.125, d, spec)
+        again = hk.section_volume_quadrature(6.125, d, spec)
+        assert first.meta["kernel_nodes"] > 0 and again.meta["kernel_nodes"] == 0
+        assert first.meta["kernel_interp_bound"] > 0.0
+        assert (again.value, again.err_bound) == (first.value, first.err_bound)
+        assert again.meta["kernel_evals"] == first.meta["kernel_evals"]
+
+    def test_concurrent_fills_match_serial(self):
+        # threads that fill one table to different extents at once must
+        # read the same bits as serial lookups on a table of their own
+        import sys
+        import threading
+
+        xs = [np.linspace(0.0, 10.0 * (i + 1), 97) for i in range(6)]
+        shared = hk._KernelTable(40.0, 1e-11, 16)
+        got = [None] * len(xs)
+
+        def work(i):
+            got[i] = shared.lookup(xs[i])[:2]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        for x, (v, e) in zip(xs, got):
+            sv, se, _, _ = hk._KernelTable(40.0, 1e-11, 16).lookup(x)
+            assert np.array_equal(v, sv) and np.array_equal(e, se)

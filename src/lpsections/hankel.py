@@ -282,7 +282,7 @@ _CHEB_DEGREE = 24
 _CHEB_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_CHEB_DEGREE + 1)
 # Bernstein ellipse parameters tried for the interpolation bound, and the
 # cells per family of the Riemann sum that bounds the kernel on each
-_RHO_GRID = tuple(np.geomspace(1.5, 256.0, 48))
+_RHO_GRID = tuple(np.geomspace(1.5, 256.0, 48).tolist())
 _M_CELLS = 512
 # panels per kernel_values call while filling, and the table's extent
 # (arguments beyond 2 * _TABLE_MAX_PANELS are evaluated directly)

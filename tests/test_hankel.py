@@ -312,11 +312,6 @@ class TestChebyshevKernelTable:
         assert (res.value, res.err_bound) == (0.42857140908542185, 1.934888663814945e-05)
         assert res.meta["kernel_nodes"] == 0
 
-    def test_huge_p_exits_3(self, capsys):
-        from lpsections import cli
-
-        assert cli.main(["volume", "--p", "1e20", "--diag", "3", "--engine", "quad"]) == 3
-
     def test_repeat_adds_no_nodes(self):
         d, spec = Direction([1.0, 0.8, 0.6]), hk.QuadSpec(tol_abs=1e-6)
         first = hk.section_volume_quadrature(6.125, d, spec)

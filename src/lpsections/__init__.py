@@ -32,24 +32,23 @@ from .hankel import (
     tail_bound_outer,
 )
 from .montecarlo import (
-    McEstimate,
     McSpec,
     clt_experiment,
     estimate_section_volume,
     rao_blackwell_kernel,
 )
-from .optimize import OptReport, grid_search_simplex, maximize_direction
+from .optimize import OptReport, maximize_direction
 from .randkit import RngStream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CrossingReport", "Direction", "Ineq", "LipschitzReport",
-    "McEstimate", "McSpec", "NonConvergenceError", "OptReport", "QuadSpec",
+    "McSpec", "NonConvergenceError", "OptReport", "QuadSpec",
     "RngStream", "VolumeResult",
     "a2_closed_form", "a2_general", "canonicalize", "clt_experiment",
     "crossing_scan", "estimate_section_volume",
-    "grid_search_simplex", "lemma1_f", "lemma1_g",
+    "lemma1_f", "lemma1_g",
     "lemma1_h", "lemma1_h_cubic", "limit_diagonal", "lipschitz_gap",
     "maximize_direction", "rao_blackwell_kernel",
     "section_volume_quadrature", "sufficient_F", "sufficient_G",

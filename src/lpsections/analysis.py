@@ -20,7 +20,8 @@ import numpy as np
 from .closedform import a2_closed_form, a2_general, limit_diagonal
 from .direction import Direction, canonicalize, is_inf, validate_exponent
 from .hankel import QuadSpec, VolumeResult, section_volume_quadrature
-from .montecarlo import McSpec, estimate_section_volume
+# not called here: the benchmark's span tracer (perfbench/layers.py) rebinds this name
+from .montecarlo import estimate_section_volume  # noqa: F401
 from .specfun import digamma, gamma
 
 __all__ = [
@@ -143,28 +144,19 @@ class LipschitzReport:
     value_inf: VolumeResult
 
 
-def _volume_by_engine(p, a, quad: Optional[QuadSpec], mc: Optional[McSpec]) -> VolumeResult:
-    if quad is None and mc is not None:
-        res = estimate_section_volume(p, a, mc)
-        # 3 sigma as the comparable error unit for a statistical engine
-        return VolumeResult(res.value, 3.0 * res.err_bound, res.engine, res.meta)
-    return section_volume_quadrature(p, a, quad or QuadSpec())
-
-
-def lipschitz_gap(p: float, a, quad: Optional[QuadSpec] = None,
-                  mc: Optional[McSpec] = None) -> LipschitzReport:
+def lipschitz_gap(p: float, a, quad: Optional[QuadSpec] = None) -> LipschitzReport:
     """|volume(p, a) - volume(inf, a)| against the bound 16/p, for p > 8.
 
     Both sides run through the quadrature engine (closed forms when the
-    direction has at most two nonzero coordinates); pass mc (and no
-    quad) to use the Monte Carlo engine instead.
+    direction has at most two nonzero coordinates).
     """
     p = validate_exponent(p)
     if not p > 8.0:
         raise ValueError(f"the 16/p bound is stated for p > 8, got {p}")
     a = canonicalize(a)
-    vp = _volume_by_engine(p, a, quad, mc)
-    vinf = _volume_by_engine(math.inf, a, quad, mc)
+    quad = quad or QuadSpec()
+    vp = section_volume_quadrature(p, a, quad)
+    vinf = section_volume_quadrature(math.inf, a, quad)
     gap = abs(vp.value - vinf.value)
     bound = 16.0 / p
     within = gap + vp.err_bound + vinf.err_bound < bound

@@ -98,8 +98,11 @@ def _emit(args, subcommand: str, rows: list[dict]) -> None:
             lines.append(",".join(_cell(row[c]) for c in cols))
         text = "\n".join(lines) + "\n"
     if args.output_path:
-        with open(args.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output-path {args.output_path!r}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -129,6 +132,8 @@ def _cmd_kernel(args) -> int:
     p = _parse_p(args.p)
     if not (0 < args.s_max < math.inf and 0 < args.step < math.inf):
         raise UsageError("--s-max and --step must be finite and positive")
+    if not 0 < args.tol < math.inf:
+        raise UsageError("--tol must be finite and positive")
     if (args.s_max + 1e-12) / args.step >= KERNEL_MAX_ROWS:
         raise UsageError(f"--s-max / --step must be below {KERNEL_MAX_ROWS} (one row per step)")
     grid = []
@@ -218,12 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, tol_default=1e-8):
+    def common(sp, tol=None, sampling=False):
+        # each subcommand declares only the flags its handler reads
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output-path", default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=tol_default)
-        sp.add_argument("--samples", type=int, default=10 ** 6)
+        if tol is not None:
+            sp.add_argument("--tol", type=float, default=tol)
+        if sampling:
+            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--samples", type=int, default=10 ** 6)
 
     sp = sub.add_parser("volume", help="one section volume")
     sp.add_argument("--p", required=True)
@@ -231,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--diag", type=int, default=None, help="main diagonal of dimension n")
     sp.add_argument("--a2", type=int, default=None, help="two equal coordinates padded to n")
     sp.add_argument("--engine", choices=("quad", "mc", "closed"), required=True)
-    common(sp)
+    common(sp, tol=1e-8, sampling=True)
     sp.set_defaults(fn=_cmd_volume)
 
     kernel_help = f"kernel table on an s grid (--s-max / --step below {KERNEL_MAX_ROWS})"
@@ -239,26 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
-    common(sp)
+    common(sp, tol=1e-8)
     sp.set_defaults(fn=_cmd_kernel)
 
     sp = sub.add_parser("crossing", help="diagonal-vs-two-coordinate crossing scan")
     sp.add_argument("--p", required=True)
     sp.add_argument("--n-max", type=int, required=True)
-    common(sp, tol_default=1e-5)
+    common(sp, tol=1e-5)
     sp.set_defaults(fn=_cmd_crossing)
 
     sp = sub.add_parser("verify", help="inequality suites; exit 1 on any violation "
                         "(--tol sets the quadrature budget of the lipschitz rows)")
     sp.add_argument("--suite", choices=("lemma1", "lipschitz", "sufficient", "all"),
                     default="all")
-    common(sp, tol_default=1e-4)
+    common(sp, tol=1e-4)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("clt", help="second-negative-moment scaling experiment")
     sp.add_argument("--p", required=True)
     sp.add_argument("--n-list", required=True, help="comma-separated dimensions")
-    common(sp)
+    common(sp, sampling=True)
     sp.set_defaults(fn=_cmd_clt)
 
     sp = sub.add_parser("optimize", help="maximize the volume over directions")
@@ -266,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--engine", choices=("quad", "mc"), required=True)
     sp.add_argument("--budget", type=int, default=240)
-    common(sp, tol_default=1e-2)
+    common(sp, tol=1e-2, sampling=True)
     sp.set_defaults(fn=_cmd_optimize)
 
     return top

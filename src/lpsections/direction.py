@@ -63,13 +63,6 @@ class Direction:
             raise ValueError("two_equal needs n >= 2")
         return cls([1.0, 1.0] + [0.0] * (n - 2))
 
-    @classmethod
-    def coordinate(cls, n: int) -> "Direction":
-        """A coordinate axis padded to length n."""
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        return cls([1.0] + [0.0] * (n - 1))
-
     # -- views -------------------------------------------------------------
 
     @property

@@ -528,19 +528,6 @@ def _envelope_families(p: float):
     return tuple(fams)
 
 
-def envelope_refined(p: float, s: float) -> float:
-    """Best available proven pointwise bound on |k_p(s)| (<= the q=1
-    family min(1, C1/s))."""
-    p = validate_exponent(p)
-    if s <= 0.0:
-        raise ValueError(f"envelope requires s > 0, got {s}")
-    best = 1.0
-    for q, c, x_min in _envelope_families(p):
-        if s >= x_min:
-            best = min(best, c / s ** q)
-    return best
-
-
 def tail_bound_outer(p: float, a, s_max: float) -> float:
     """Rigorous upper bound on int_{s_max}^inf prod_j |k_p(a_j s)| s ds.
 

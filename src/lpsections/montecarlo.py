@@ -37,34 +37,25 @@ from .randkit import RngStream, radial_array, sphere3_array
 from .specfun import gamma
 
 _STRATEGIES = ("plain", "rao_blackwell")
+# batches per estimate: they give the error bars (and the median-of-means
+# aggregate of the heavy-tailed plain strategy)
+_BATCHES = 32
 
 
 @dataclass(frozen=True)
 class McSpec:
-    """Monte Carlo configuration: sample count, base seed, estimator
-    strategy, and the number of batches used for error bars (and for the
-    median-of-means aggregate of the heavy-tailed plain strategy)."""
+    """Monte Carlo configuration: sample count, base seed and estimator
+    strategy."""
 
     samples: int = 1_000_000
     seed: int = 0
     strategy: str = "rao_blackwell"
-    batches: int = 32
 
     def __post_init__(self):
-        if self.samples < 1 or self.batches < 1:
-            raise ValueError("samples and batches must be >= 1")
-        if self.samples < self.batches:
-            raise ValueError("need samples >= batches")
+        if self.samples < _BATCHES:
+            raise ValueError(f"samples must be >= {_BATCHES} (one per batch)")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    value: float
-    std_err: float
-    batch_values: tuple
-    samples_used: int
 
 
 def rao_blackwell_kernel(u: float, v: float) -> float:
@@ -82,12 +73,10 @@ def rao_blackwell_kernel(u: float, v: float) -> float:
 
 
 def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int, strategy: str):
-    """Per-draw estimator values (pre gamma-factor) and the per-draw
-    largest coefficient magnitude max_j a_j R_j."""
+    """Per-draw estimator values (pre gamma-factor)."""
     n = a.size
     chunk = max(1, min(count, (1 << 21) // (4 * n)))
     vals = np.empty(count)
-    vmax = np.empty(count)
     done = 0
     while done < count:
         m = min(chunk, count - done)
@@ -97,7 +86,6 @@ def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int, s
         k = np.argmax(b, axis=1)
         rows = np.arange(m)
         bk = b[rows, k]
-        vmax[done:done + m] = bk
         if strategy == "plain":
             vals[done:done + m] = 1.0 / np.einsum("ik,ik->i", vec, vec)
         else:
@@ -106,7 +94,7 @@ def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int, s
             top = np.maximum(u, bk)
             vals[done:done + m] = 1.0 / (top * top)
         done += m
-    return vals, vmax
+    return vals
 
 
 def _batch_sizes(samples: int, batches: int) -> list[int]:
@@ -129,27 +117,24 @@ def estimate_section_volume(
     a = canonicalize(a)
     spec = spec or McSpec()
     if a.nonzero_count < 2:
-        est = McEstimate(1.0, 0.0, (1.0,), 0)
-        return VolumeResult(1.0, 0.0, "closed_form",
-                            {"degenerate": True, "estimate": est})
+        return VolumeResult(1.0, 0.0, "closed_form", {"degenerate": True})
     g2 = 1.0 if is_inf(p) else gamma(1.0 + 2.0 / p)
     arr = a.as_array()
     base = RngStream(spec.seed, stream_domain)
     batch_means = []
-    for bi, bn in enumerate(_batch_sizes(spec.samples, spec.batches)):
+    for bi, bn in enumerate(_batch_sizes(spec.samples, _BATCHES)):
         gen = base.substream(bi).generator
-        vals, _ = _draw_batch(p, arr, gen, bn, spec.strategy)
+        vals = _draw_batch(p, arr, gen, bn, spec.strategy)
         batch_means.append(float(vals.mean()))
     bm = np.array(batch_means) * g2
     agg = float(np.median(bm)) if spec.strategy == "plain" else float(bm.mean())
     std_err = float(bm.std(ddof=1) / math.sqrt(bm.size)) if bm.size > 1 else 0.0
-    est = McEstimate(agg, std_err, tuple(float(v) for v in bm), spec.samples)
     meta = {
         "samples": spec.samples,
-        "batches": spec.batches,
+        "batches": _BATCHES,
         "seed": spec.seed,
         "strategy": spec.strategy,
-        "estimate": est,
+        "batch_values": tuple(float(v) for v in bm),
     }
     return VolumeResult(agg, std_err, "montecarlo", meta)
 

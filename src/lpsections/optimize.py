@@ -149,7 +149,6 @@ def maximize_direction(
     budget: int = 240,
     tol: float = 1e-2,
     seed: int = 0,
-    quad: Optional[QuadSpec] = None,
     mc: Optional[McSpec] = None,
 ) -> OptReport:
     """Maximize the section volume over unit directions of length n.
@@ -166,8 +165,7 @@ def maximize_direction(
         raise ValueError("need n >= 2")
     if engine not in ("quadrature", "montecarlo"):
         raise ValueError("engine must be quadrature or montecarlo")
-    if engine == "quadrature" and quad is None:
-        quad = QuadSpec(tol_abs=tol / 4.0, panel_order=12)
+    quad = QuadSpec(tol_abs=tol / 4.0, panel_order=12) if engine == "quadrature" else None
     if engine == "montecarlo" and mc is None:
         mc = McSpec(samples=200_000, seed=seed)
     obj = _Objective(p, engine, quad, mc)
@@ -212,38 +210,3 @@ def maximize_direction(
         converged=best_from_converged and err_ok,
         meta=meta,
     )
-
-
-def grid_search_simplex(
-    p: float,
-    n: int,
-    resolution: float,
-    engine: str = "quadrature",
-    quad: Optional[QuadSpec] = None,
-    mc: Optional[McSpec] = None,
-) -> list[tuple[Direction, float]]:
-    """Exhaustive evaluation over the squared-weight simplex grid for
-    n in {2, 3}; the brute-force oracle for maximize_direction.
-
-    Canonically equivalent grid points are evaluated once.
-    """
-    p = validate_exponent(p)
-    if n not in (2, 3):
-        raise ValueError("grid search supports n in {2, 3} only")
-    if not 0.0 < resolution <= 0.5:
-        raise ValueError("resolution must lie in (0, 0.5]")
-    obj = _Objective(p, engine, quad or QuadSpec(tol_abs=1e-6), mc or McSpec(samples=100_000))
-    k = int(round(1.0 / resolution))
-    out = []
-    seen = set()
-    if n == 2:
-        combos = [(i, k - i) for i in range(k + 1)]
-    else:
-        combos = [(i, j, k - i - j) for i in range(k + 1) for j in range(k + 1 - i)]
-    for combo in combos:
-        d = Direction(np.sqrt(np.array(combo, dtype=float) / k))
-        if d in seen:
-            continue
-        seen.add(d)
-        out.append((d, obj(d).value))
-    return out

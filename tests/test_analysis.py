@@ -36,7 +36,7 @@ class TestClosedForms:
     def test_section_value_router(self):
         from lpsections.closedform import section_value
         for p in (2.0, 3.0, 9.0, INF):
-            assert section_value(p, Direction.coordinate(4)) == 1.0
+            assert section_value(p, Direction([1.0, 0.0, 0.0, 0.0])) == 1.0
             # equal pairs give the 2^(1-2/p) form bit for bit
             assert section_value(p, Direction.two_equal(5)) == an.a2_closed_form(p)
             assert section_value(p, [0.6, 0.0, 0.8]) == an.a2_general(p, 0.8, 0.6)
@@ -149,13 +149,6 @@ class TestLipschitz:
         rng = np.random.default_rng(12)
         d = Direction(np.abs(rng.standard_normal(4)) + 0.05)
         rep = an.lipschitz_gap(32.0, d, QuadSpec(tol_abs=1e-4))
-        assert rep.within
-
-    def test_mc_engine_path(self):
-        from lpsections.montecarlo import McSpec
-        rep = an.lipschitz_gap(16.0, Direction.diagonal(3), quad=None,
-                               mc=McSpec(samples=150_000, seed=2))
-        assert rep.bound == 1.0
         assert rep.within
 
     def test_domain(self):

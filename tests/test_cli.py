@@ -111,6 +111,15 @@ class TestKernelTable:
             assert run_cli(argv, capsys) == (2, "")
             assert time.perf_counter() - t0 < 2.0
 
+    def test_bad_tol_is_usage_error(self, capsys):
+        # nan used to exit 3 and a zero or negative --tol was silently
+        # floored to 1e-12; small positive values keep that floor
+        for bad in ("nan", "inf", "0", "-1"):
+            argv = ["kernel", "--p", "4", "--s-max", "2", "--step", "0.5", "--tol", bad]
+            assert run_cli(argv, capsys) == (2, "")
+        argv = ["kernel", "--p", "inf", "--s-max", "1", "--step", "0.5", "--tol", "1e-20"]
+        assert run_cli(argv, capsys)[0] == 0
+
     def test_huge_p_exits_3(self, capsys):
         code = cli.main(["kernel", "--p", "1e20", "--s-max", "1", "--step", "0.5"])
         assert code == 3
@@ -181,6 +190,42 @@ class TestJsonOutput:
         payload = json.loads(out)
         validate_output("volume", payload)
         assert payload["rows"][0]["value"] == 2.0 ** (1.0 - 2.0 / 9.0)
+
+
+class TestFlags:
+    # subcommand: (a valid command line, flags its handler reads, flags it does not declare)
+    CASES = {
+        "volume": (["volume", "--p", "4", "--a2", "3", "--engine", "closed"],
+                   ["--tol", "1e-6", "--seed", "3", "--samples", "1000"], []),
+        "kernel": (["kernel", "--p", "inf", "--s-max", "1", "--step", "0.5"],
+                   ["--tol", "1e-6"], ["--seed", "--samples"]),
+        "crossing": (["crossing", "--p", "4", "--n-max", "3"],
+                     ["--tol", "1e-3"], ["--seed", "--samples"]),
+        "verify": (["verify", "--suite", "lemma1"],
+                   ["--tol", "1e-3"], ["--seed", "--samples"]),
+        "clt": (["clt", "--p", "inf", "--n-list", "2"],
+                ["--seed", "3", "--samples", "1000"], ["--tol"]),
+        "optimize": (["optimize", "--p", "4", "--n", "2", "--engine", "mc", "--budget", "8"],
+                     ["--tol", "0.1", "--seed", "1", "--samples", "1000"], []),
+    }
+
+    @pytest.mark.parametrize("subcommand", list(CASES))
+    def test_only_read_flags_parse(self, subcommand, capsys):
+        argv, read, unread = self.CASES[subcommand]
+        code, out = run_cli(argv + read, capsys)
+        assert code == 0 and out.startswith(EXPECTED_HEADERS[subcommand])
+        for flag in unread:
+            assert run_cli(argv + [flag, "9"], capsys) == (2, "")
+
+
+class TestOutputPath:
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path):
+        argv = ["volume", "--p", "4", "--a2", "3", "--engine", "closed", "--output-path"]
+        for path in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert cli.main(argv + [str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -11,6 +11,30 @@ from lpsections.hankel import QuadSpec, section_volume_quadrature
 INF = math.inf
 
 
+def grid_search_simplex(p, n, resolution, quad=None):
+    """Quadrature values over the squared-weight simplex grid for n in
+    {2, 3}: the brute-force oracle for maximize_direction.  Canonically
+    equivalent grid points are evaluated once."""
+    if n not in (2, 3):
+        raise ValueError("grid search supports n in {2, 3} only")
+    if not 0.0 < resolution <= 0.5:
+        raise ValueError("resolution must lie in (0, 0.5]")
+    quad = quad or QuadSpec(tol_abs=1e-6)
+    k = int(round(1.0 / resolution))
+    if n == 2:
+        combos = [(i, k - i) for i in range(k + 1)]
+    else:
+        combos = [(i, j, k - i - j) for i in range(k + 1) for j in range(k + 1 - i)]
+    out = []
+    seen = set()
+    for combo in combos:
+        d = Direction(np.sqrt(np.array(combo, dtype=float) / k))
+        if d not in seen:
+            seen.add(d)
+            out.append((d, section_volume_quadrature(p, d, quad).value))
+    return out
+
+
 class TestDirection:
     def test_canonical_form(self):
         d = Direction([3.0, -4.0, 0.0])
@@ -108,20 +132,20 @@ class TestMaximizeDirection:
 
 class TestGridSearch:
     def test_n2_p4_argmax_two_equal(self):
-        pts = op.grid_search_simplex(4.0, 2, 0.01)
+        pts = grid_search_simplex(4.0, 2, 0.01)
         best = max(pts, key=lambda t: t[1])
         assert best[0] == Direction([1.0, 1.0])
         assert best[1] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_n3_polydisc_argmax_two_equal(self):
-        pts = op.grid_search_simplex(INF, 3, 0.02, quad=QuadSpec(tol_abs=1e-5))
+        pts = grid_search_simplex(INF, 3, 0.02, quad=QuadSpec(tol_abs=1e-5))
         best = max(pts, key=lambda t: t[1])
         assert best[0] == Direction([1.0, 1.0, 0.0])
         assert best[1] == 2.0
 
     def test_n3_p3_grid_vs_optimizer(self):
         quad = QuadSpec(tol_abs=1e-4, panel_order=12)
-        pts = op.grid_search_simplex(3.0, 3, 0.1, quad=quad)
+        pts = grid_search_simplex(3.0, 3, 0.1, quad=quad)
         grid_best = max(pts, key=lambda t: t[1])
         rep = op.maximize_direction(3.0, 3, budget=120, tol=1e-2, seed=2)
         assert rep.best_value.value >= grid_best[1] - 2e-2
@@ -130,6 +154,6 @@ class TestGridSearch:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            op.grid_search_simplex(4.0, 4, 0.1)
+            grid_search_simplex(4.0, 4, 0.1)
         with pytest.raises(ValueError):
-            op.grid_search_simplex(4.0, 2, 0.0)
+            grid_search_simplex(4.0, 2, 0.0)

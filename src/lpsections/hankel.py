@@ -583,24 +583,24 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
     freq = float(np.sum(coeffs * mults))
     n_init = int(min(1024, max(6, math.ceil(s_max * freq / (2.0 * math.pi)))))
     edges = np.linspace(0.0, s_max, n_init + 1)
-    pending = list(zip(edges[:-1], edges[1:]))
-    acc_vals: list[float] = []
-    acc_est: list[float] = []
-    acc_prop: list[float] = []
+    # the queue: panel edges in order; accepted panels' sums, estimates and
+    # propagated errors collect in waves (fsum is exactly rounded, so the
+    # totals do not depend on the order of collection)
+    queue_lo, queue_hi = edges[:-1], edges[1:]
+    accepted = []
     n_accepted = 0
     evals = nodes = 0
     interp_bound = 0.0
     min_width = s_max * 1e-12
 
-    while pending:
-        if n_accepted + len(pending) > spec.panel_budget:
+    while queue_lo.size:
+        if n_accepted + queue_lo.size > spec.panel_budget:
             raise NonConvergenceError(
                 f"outer panel budget {spec.panel_budget} exhausted "
-                f"({n_accepted} accepted, {len(pending)} pending)"
+                f"({n_accepted} accepted, {queue_lo.size} pending)"
             )
-        wave, pending = pending[:_WAVE_LIMIT], pending[_WAVE_LIMIT:]
-        lo = np.array([w[0] for w in wave])
-        hi = np.array([w[1] for w in wave])
+        lo, queue_lo = queue_lo[:_WAVE_LIMIT], queue_lo[_WAVE_LIMIT:]
+        hi, queue_hi = queue_hi[:_WAVE_LIMIT], queue_hi[_WAVE_LIMIT:]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         n_pan = lo.size
@@ -632,25 +632,14 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
         est = np.abs(f2 - f1)
         tol_panel = tol_quad * (hi - lo) / s_max
         accept = (est <= tol_panel) | (hi - lo <= min_width)
-        for j in range(n_pan):
-            if accept[j]:
-                acc_vals.append(float(f2[j]))
-                acc_est.append(float(est[j]))
-                acc_prop.append(float(p2[j]))
-                n_accepted += 1
-            else:
-                m = float(mid[j])
-                pending.append((float(lo[j]), m))
-                pending.append((m, float(hi[j])))
-    return (
-        math.fsum(acc_vals),
-        math.fsum(acc_est),
-        math.fsum(acc_prop),
-        n_accepted,
-        evals,
-        nodes,
-        interp_bound,
-    )
+        accepted.append(np.stack([f2[accept], est[accept], p2[accept]]))
+        n_accepted += int(np.count_nonzero(accept))
+        # a rejected panel [lo, hi] becomes [lo, mid], [mid, hi] at the back
+        split = ~accept
+        queue_lo = np.concatenate([queue_lo, np.stack([lo[split], mid[split]], axis=1).ravel()])
+        queue_hi = np.concatenate([queue_hi, np.stack([mid[split], hi[split]], axis=1).ravel()])
+    total, quad_est, prop = (math.fsum(row) for row in np.concatenate(accepted, axis=1))
+    return total, quad_est, prop, n_accepted, evals, nodes, interp_bound
 
 
 def _auto_s_max(p, a, prefactor, tol_abs):

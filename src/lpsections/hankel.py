@@ -39,7 +39,7 @@ Error model
 Results depend only on the arguments.  The only shared state is a set of
 lazily filled caches (radial cells, truncation radii, envelope families
 and the per-p kernel tables); a table panel depends only on (p, kernel
-target, order, panel index), and a table grows by swapping in new
+target, panel index), and a table grows by swapping in new
 arrays, so concurrent calls stay safe and cache state never shows in a
 result.
 """
@@ -79,21 +79,17 @@ class QuadSpec:
     """Quadrature engine configuration.
 
     tol_abs      requested absolute error on the volume
-    panel_order  Gauss-Legendre nodes per panel (>= 8)
     s_max_policy "auto" or a fixed outer cutoff
     panel_budget outer panel limit before declaring non-convergence
     """
 
     tol_abs: float = 1e-8
-    panel_order: int = 16
     s_max_policy: Union[str, float] = "auto"
     panel_budget: int = 40000
 
     def __post_init__(self):
         if not self.tol_abs > 0.0:
             raise ValueError("tol_abs must be positive")
-        if self.panel_order < 8:
-            raise ValueError("panel_order must be >= 8")
         if self.s_max_policy != "auto":
             if not float(self.s_max_policy) > 0.0:
                 raise ValueError("fixed s_max must be positive")
@@ -107,7 +103,14 @@ class VolumeResult:
     meta: dict = field(default_factory=dict)
 
 
-@functools.lru_cache(maxsize=64)
+# Gauss-Legendre nodes per panel.  Kernel radial panels take the value at
+# _GL_ORDER nodes and estimate its error against _GL_ORDER_LOW nodes; outer
+# panels take 2 * _GL_ORDER nodes against _GL_ORDER.
+_GL_ORDER_LOW = 8
+_GL_ORDER = 12
+
+
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
@@ -182,13 +185,13 @@ def _head_cert(r_flat: float, levels: int) -> float:
     return 2.0 ** -levels * 0.5 * r_flat * r_flat
 
 
-def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, order: int, levels: int):
+def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, levels: int):
     """Raw integral int_0^r_max J0(x r) exp(-r^p) r dr for an array of
-    nonnegative x, plus an order-halving error estimate (the reported
-    value uses the full order; the half-order comparison overestimates
-    its error)."""
-    g1, w1 = _gl_nodes(max(8, order // 2))
-    g2, w2 = _gl_nodes(order)
+    nonnegative x, plus an error estimate from the lower order (the
+    reported value uses _GL_ORDER nodes; the comparison with
+    _GL_ORDER_LOW nodes overestimates its error)."""
+    g1, w1 = _gl_nodes(_GL_ORDER_LOW)
+    g2, w2 = _gl_nodes(_GL_ORDER)
     r_flat, cell_lo, cell_w = _weight_cells(p, r_max, levels)
 
     # closed-form head: int_0^r_flat J0(x r) r dr = r_flat^2/2 * j1n(x r_flat),
@@ -198,7 +201,7 @@ def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, order: int, levels
 
     vals = np.empty_like(x)
     ests = np.empty_like(x)
-    # subpanels per (x, cell): quarter-period width, so the half-order
+    # subpanels per (x, cell): quarter-period width, so the lower-order
     # comparison rule is already sharp
     counts = np.ceil(np.outer(x, cell_w) / (0.5 * math.pi)).astype(np.int64)
     np.maximum(counts, 1, out=counts)
@@ -238,7 +241,7 @@ def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, order: int, levels
     return vals + head, ests + head_cert
 
 
-def kernel_values(p: float, x, trunc_target: float = 1e-13, order: int = 16):
+def kernel_values(p: float, x, trunc_target: float = 1e-13):
     """Vectorized kernel evaluation.
 
     Returns (values, err_bounds) for an array of nonnegative arguments;
@@ -263,7 +266,7 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13, order: int = 16):
         vals[zero] = 1.0
         errs[zero] = 0.0
     if np.any(~zero):
-        raw, est = _kernel_finite_raw(p, x[~zero], r_max, order, levels)
+        raw, est = _kernel_finite_raw(p, x[~zero], r_max, levels)
         vals[~zero] = pref * raw
         errs[~zero] = pref * est + cert
     return vals, errs
@@ -388,19 +391,19 @@ def _clenshaw(coeffs: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class _KernelTable:
-    """Piecewise Chebyshev table of k_p for one (p, trunc_target, order),
-    filled panel by panel on demand.
+    """Piecewise Chebyshev table of k_p for one (p, trunc_target), filled
+    panel by panel on demand.
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
     bound exceeds trunc_target, so the panel is evaluated directly).  A
-    panel depends on nothing but (p, trunc_target, order, its index), so
+    panel depends on nothing but (p, trunc_target, its index), so
     results do not depend on which call filled the table; filling builds
     new arrays and swaps them in, so concurrent readers never see a
     partial state."""
 
-    def __init__(self, p: float, trunc_target: float, order: int):
-        self.p, self.trunc_target, self.order = p, trunc_target, order
+    def __init__(self, p: float, trunc_target: float):
+        self.p, self.trunc_target = p, trunc_target
         self.interp = _interp_bound(p)
         r_max, cert = _trunc_radius(p, trunc_target)
         levels = _head_levels(trunc_target)
@@ -435,7 +438,7 @@ class _KernelTable:
         x[x == 0.0] = 1e-100
         # neighbouring panels share their end nodes: evaluate each once
         xs, inverse = np.unique(x, return_inverse=True)
-        vals, errs = kernel_values(self.p, xs, trunc_target=self.trunc_target, order=self.order)
+        vals, errs = kernel_values(self.p, xs, trunc_target=self.trunc_target)
         vals = vals[inverse].reshape(x.shape)
         errs = errs[inverse].reshape(x.shape)
         coeffs = (vals.astype(np.longdouble) @ dct.T).astype(np.float64)
@@ -471,19 +474,17 @@ class _KernelTable:
         vals = _clenshaw(coeffs, idx, t)
         direct = np.isinf(err)
         if np.any(direct):
-            vals[direct], err[direct] = kernel_values(
-                self.p, x[direct], trunc_target=self.trunc_target, order=self.order
-            )
+            vals[direct], err[direct] = kernel_values(self.p, x[direct], trunc_target=self.trunc_target)
         interp = 0.0 if np.all(direct) else self.interp
         return vals, err, sum(count for _, _, count in parts), interp
 
 
 @functools.lru_cache(maxsize=64)
-def _kernel_table(p: float, trunc_target: float, order: int) -> _KernelTable:
-    return _KernelTable(p, trunc_target, order)
+def _kernel_table(p: float, trunc_target: float) -> _KernelTable:
+    return _KernelTable(p, trunc_target)
 
 
-def _kernel_lookup(p, x, trunc_target, order):
+def _kernel_lookup(p, x, trunc_target):
     """Kernel values for the outer quadrature: (values, errors, table
     nodes added, interpolation bound of the table values or 0.0).
 
@@ -491,9 +492,9 @@ def _kernel_lookup(p, x, trunc_target, order):
     trunc_target; p = inf (a closed form) and p = 1 (no usable ellipse)
     call kernel_values directly."""
     if is_inf(p) or not _interp_bound(p) <= trunc_target:
-        kv, ke = kernel_values(p, x, trunc_target=trunc_target, order=order)
+        kv, ke = kernel_values(p, x, trunc_target=trunc_target)
         return kv, ke, 0, 0.0
-    return _kernel_table(p, trunc_target, order).lookup(x)
+    return _kernel_table(p, trunc_target).lookup(x)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +578,7 @@ _WAVE_LIMIT = 1500  # panels per evaluation wave (memory control)
 
 
 def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
-    order = spec.panel_order
+    order = _GL_ORDER
     g1, w1 = _gl_nodes(order)
     g2, w2 = _gl_nodes(2 * order)
     freq = float(np.sum(coeffs * mults))
@@ -608,7 +609,7 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
         s_nodes_2 = (mid[:, None] + half[:, None] * g2[None, :]).ravel()
         s_all = np.concatenate([s_nodes_1, s_nodes_2])
         x_all = (coeffs[:, None] * s_all[None, :]).ravel()
-        kv, ke, added, interp = _kernel_lookup(p, x_all, trunc_target, order)
+        kv, ke, added, interp = _kernel_lookup(p, x_all, trunc_target)
         evals += x_all.size
         nodes += added
         interp_bound = max(interp_bound, interp)

@@ -165,7 +165,7 @@ def maximize_direction(
         raise ValueError("need n >= 2")
     if engine not in ("quadrature", "montecarlo"):
         raise ValueError("engine must be quadrature or montecarlo")
-    quad = QuadSpec(tol_abs=tol / 4.0, panel_order=12) if engine == "quadrature" else None
+    quad = QuadSpec(tol_abs=tol / 4.0) if engine == "quadrature" else None
     if engine == "montecarlo" and mc is None:
         mc = McSpec(samples=200_000, seed=seed)
     obj = _Objective(p, engine, quad, mc)

@@ -115,7 +115,7 @@ class TestMaximizeDirection:
 
     def test_soundness_p25_n12(self):
         rep = op.maximize_direction(2.5, 12, budget=60, tol=1e-2, seed=5)
-        quad = QuadSpec(tol_abs=2.5e-3, panel_order=12)
+        quad = QuadSpec(tol_abs=2.5e-3)
         anchor_diag = section_volume_quadrature(2.5, Direction.diagonal(12), quad)
         anchor_a2 = section_volume_quadrature(2.5, Direction.two_equal(12), quad)
         floor = max(anchor_diag.value, anchor_a2.value)
@@ -144,7 +144,7 @@ class TestGridSearch:
         assert best[1] == 2.0
 
     def test_n3_p3_grid_vs_optimizer(self):
-        quad = QuadSpec(tol_abs=1e-4, panel_order=12)
+        quad = QuadSpec(tol_abs=1e-4)
         pts = grid_search_simplex(3.0, 3, 0.1, quad=quad)
         grid_best = max(pts, key=lambda t: t[1])
         rep = op.maximize_direction(3.0, 3, budget=120, tol=1e-2, seed=2)

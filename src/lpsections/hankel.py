@@ -55,7 +55,7 @@ import numpy as np
 
 from .closedform import section_value
 from .direction import canonicalize, is_inf, validate_exponent
-from .specfun import gamma, gamma_upper, j0_array, j1_array
+from .specfun import GAMMA_REL_ERR, gamma, gamma_upper, j0_array, j1_array
 
 # Upper bound for |J1| everywhere (the envelope constant M).
 J1_MAX_BOUND = 0.5819
@@ -64,6 +64,11 @@ _SQRT_2_OVER_PI = 0.7978845608028654
 # sqrt(2/pi) * (3/4)^(-1/4): |J1(x)| <= this / sqrt(x) for x >= 2,
 # obtained from |J1(x)| <= sqrt(2/pi) (x^2-1)^(-1/4) and x^2-1 >= 3x^2/4.
 _J1_SQRT_BOUND = _SQRT_2_OVER_PI * 0.75 ** -0.25
+_U = 2.0 ** -53  # unit roundoff of float64
+# relative error of 2/Gamma(1+2/p) or Gamma(1+2/p)/2 as computed, times
+# any one product with it: Gamma's own, 5u from rounding the argument
+# (|psi| < 1 on (1, 3]), and u each for the division and the product
+_PREF_REL_ERR = GAMMA_REL_ERR + 7.0 * _U
 
 
 class NonConvergenceError(RuntimeError):
@@ -185,11 +190,19 @@ def _head_cert(r_flat: float, levels: int) -> float:
     return 2.0 ** -levels * 0.5 * r_flat * r_flat
 
 
+def _gamma_n(k, u: float):
+    return k * u / (1.0 - k * u)
+
+
 def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, levels: int):
     """Raw integral int_0^r_max J0(x r) exp(-r^p) r dr for an array of
     nonnegative x, plus an error estimate from the lower order (the
     reported value uses _GL_ORDER nodes; the comparison with
-    _GL_ORDER_LOW nodes overestimates its error)."""
+    _GL_ORDER_LOW nodes overestimates its error) and a bound on the
+    rounding of the sums: gamma_(k+14) times the sum of the terms'
+    magnitudes for k panels per x (two products per node, the node sum
+    and the panel sum, in any order), plus gamma_4 times |head| + |raw|
+    for the head's three products and its addition."""
     g1, w1 = _gl_nodes(_GL_ORDER_LOW)
     g2, w2 = _gl_nodes(_GL_ORDER)
     r_flat, cell_lo, cell_w = _weight_cells(p, r_max, levels)
@@ -201,6 +214,7 @@ def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, levels: int):
 
     vals = np.empty_like(x)
     ests = np.empty_like(x)
+    mags = np.empty_like(x)
     # subpanels per (x, cell): quarter-period width, so the lower-order
     # comparison rule is already sharp
     counts = np.ceil(np.outer(x, cell_w) / (0.5 * math.pi)).astype(np.int64)
@@ -227,26 +241,32 @@ def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, levels: int):
         x_rep = x[start:stop][pan_x]
         x_offs = np.cumsum(C.sum(axis=1)) - C.sum(axis=1)
 
-        def panels(gl_x, gl_w):
+        def terms(gl_x, gl_w):
             r = mid[:, None] + half[:, None] * gl_x[None, :]
-            f = j0_array(x_rep[:, None] * r) * _weight(r, p)
-            per_panel = (f * gl_w[None, :]).sum(axis=1) * half
-            return np.add.reduceat(per_panel, x_offs)
+            return j0_array(x_rep[:, None] * r) * _weight(r, p) * gl_w[None, :]
 
-        s1 = panels(g1, w1)
-        s2 = panels(g2, w2)
+        def per_x_sums(fw):
+            return np.add.reduceat(fw.sum(axis=1) * half, x_offs)
+
+        s1 = per_x_sums(terms(g1, w1))
+        fw = terms(g2, w2)
+        s2 = per_x_sums(fw)
         vals[start:stop] = s2
         ests[start:stop] = np.abs(s2 - s1)
+        mags[start:stop] = per_x_sums(np.abs(fw))
         start = stop
-    return vals + head, ests + head_cert
+    raw = vals + head
+    rounding = _gamma_n(per_x + 14, _U) * mags + _gamma_n(4, _U) * (np.abs(head) + np.abs(raw))
+    return raw, ests + head_cert, rounding
 
 
 def kernel_values(p: float, x, trunc_target: float = 1e-13):
     """Vectorized kernel evaluation.
 
     Returns (values, err_bounds) for an array of nonnegative arguments;
-    err_bounds combines the certified truncation tail with the measured
-    quadrature estimate.  p = inf uses the closed form (error 0).
+    err_bounds combines the certified truncation tail, the measured
+    quadrature estimate and the rounding of the sums and of the
+    prefactor 2/Gamma(1+2/p).  p = inf uses the closed form (error 0).
     """
     p = validate_exponent(p)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -266,9 +286,9 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
         vals[zero] = 1.0
         errs[zero] = 0.0
     if np.any(~zero):
-        raw, est = _kernel_finite_raw(p, x[~zero], r_max, levels)
+        raw, est, rounding = _kernel_finite_raw(p, x[~zero], r_max, levels)
         vals[~zero] = pref * raw
-        errs[~zero] = pref * est + cert
+        errs[~zero] = pref * (est + rounding) + cert + _PREF_REL_ERR * np.abs(vals[~zero])
     return vals, errs
 
 
@@ -291,12 +311,7 @@ _M_CELLS = 512
 # (arguments beyond 2 * _TABLE_MAX_PANELS are evaluated directly)
 _BUILD_PANELS = 128
 _TABLE_MAX_PANELS = 1 << 16
-_U = 2.0 ** -53  # unit roundoff of float64
 _U_LD = float(np.finfo(np.longdouble).epsneg)
-
-
-def _gamma_n(k: int, u: float) -> float:
-    return k * u / (1.0 - k * u)
 
 
 @functools.lru_cache(maxsize=256)
@@ -686,7 +701,9 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
         p, coeffs, mults, s_max, spec, tol_quad, trunc_target
     )
     value = prefactor * total
-    err = tail + prefactor * (quad_est + inner_prop)
+    # Gamma(1+2/p) and the product with it round; at p = inf the factor 1/2 is exact
+    pref_err = 0.0 if is_inf(p) else _PREF_REL_ERR * abs(value)
+    err = tail + prefactor * (quad_est + inner_prop) + pref_err
     meta = {
         "s_max": s_max,
         "panels": n_panels,
@@ -696,6 +713,7 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
         "tail_bound": tail,
         "quadrature_estimate": prefactor * quad_est,
         "kernel_error_propagated": prefactor * inner_prop,
+        "prefactor_error": pref_err,
     }
     if err > spec.tol_abs:
         raise NonConvergenceError(

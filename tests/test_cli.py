@@ -120,6 +120,18 @@ class TestKernelTable:
         argv = ["kernel", "--p", "inf", "--s-max", "1", "--step", "0.5", "--tol", "1e-20"]
         assert run_cli(argv, capsys)[0] == 0
 
+    def test_small_s_within_bound_of_series(self, capsys):
+        # the truncation bound is tight near s = 0, so err_bound must also
+        # cover the rounding of 2/Gamma(1+2/p) and of the panel sums
+        from test_hankel import series_kernel
+
+        code, out = run_cli(["kernel", "--p", "1.5", "--s-max", "2e-6", "--step", "1e-6",
+                             "--tol", "2e-9"], capsys)
+        assert code == 0
+        for line in out.strip().split("\n")[2:]:
+            _, s, value, err = line.split(",")
+            assert abs(float(value) - series_kernel(1.5, float(s))) <= float(err)
+
     def test_huge_p_exits_3(self, capsys):
         code = cli.main(["kernel", "--p", "1e20", "--s-max", "1", "--step", "0.5"])
         assert code == 3

@@ -51,6 +51,17 @@ def trapezoid_kernel_oracle():
     return 2.0 / gamma(1.5) * float(_trapz(f, r))
 
 
+def series_kernel(p, x, terms=8):
+    """k_p(x) to 40 digits from its power series, for small x:
+    sum_m (-x^2/4)^m / m!^2 * 2 Gamma((2m+2)/p) / (p Gamma(1+2/p))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p, h = mpmath.mpf(p), (mpmath.mpf(x) / 2) ** 2
+        total = mpmath.fsum((-h) ** m / mpmath.factorial(m) ** 2 * mpmath.gamma((2 * m + 2) / p)
+                            for m in range(terms))
+        return 2 * total / (p * mpmath.gamma(1 + 2 / p))
+
+
 class TestKernel:
     def test_value_one_at_zero(self):
         for p in P_GRID:
@@ -88,6 +99,37 @@ class TestKernel:
     def test_invariant_value_within_one_plus_err(self):
         value, err = kernel_at(9.0, 0.3)
         assert abs(value) <= 1.0 + err
+
+    @pytest.mark.parametrize("p", [1.5, 2.3, 3.0, 4.0, 5.5])
+    def test_small_x_within_bound_of_series(self, p):
+        # near x = 0 the truncation bound is tight, so the bound must also
+        # cover the rounding of 2/Gamma(1+2/p) and of the panel sums
+        vals, errs = hk.kernel_values(p, np.array([1e-6]))
+        assert abs(float(vals[0]) - series_kernel(p, 1e-6)) <= float(errs[0])
+
+
+class TestExactOracles:
+    # k_1(x) = (1 + x^2)^(-3/2) and k_2(x) = exp(-x^2/4) exactly, and
+    # A(1, diag n) = n / (3n - 2)
+    X = np.linspace(0.0, 60.0, 241)
+
+    @pytest.mark.parametrize("trunc_target", [1e-13, 1e-11, 1e-9])
+    def test_p1_direct_kernel(self, trunc_target):
+        vals, errs = hk.kernel_values(1.0, self.X, trunc_target=trunc_target)
+        assert np.all(np.abs(vals - (1.0 + self.X ** 2) ** -1.5) <= errs)
+
+    @pytest.mark.parametrize("trunc_target", [1e-13, 1e-11, 1e-9])
+    def test_p2_table_kernel(self, trunc_target):
+        table = hk._KernelTable(2.0, trunc_target)
+        vals, errs, _, _ = table.lookup(self.X)
+        assert np.all(np.isfinite(table.state[1]))
+        assert np.all(np.abs(vals - np.exp(-0.25 * self.X ** 2)) <= errs)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_p1_diagonal_volume(self, n):
+        res = hk.section_volume_quadrature(1.0, Direction.diagonal(n), hk.QuadSpec(tol_abs=1e-6))
+        assert res.engine == "quadrature"
+        assert abs(res.value - n / (3.0 * n - 2.0)) <= res.err_bound
 
 
 class TestEnvelope:
@@ -318,7 +360,7 @@ class TestChebyshevKernelTable:
         # the bits of the direct-evaluation engine, within err_bound of the
         # exact A(1, diag 3) = 3/7
         res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), hk.QuadSpec(tol_abs=1e-4))
-        assert (res.value, res.err_bound) == (0.4285714090854217, 1.9352793230605726e-05)
+        assert (res.value, res.err_bound) == (0.42857140908542257, 1.9352793245316283e-05)
         assert abs(res.value - 3.0 / 7.0) <= res.err_bound
         assert res.meta["kernel_nodes"] == 0
 

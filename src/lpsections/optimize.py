@@ -126,6 +126,8 @@ def _nelder_mead(obj, y0, budget, tol):
         if f_refl > vals[-2]:
             ys[-1], vals[-1] = refl, f_refl
             continue
+        if used >= budget:
+            break
         cont = centroid + _CONTRACT * (worst - centroid)
         f_cont = obj(_as_direction(cont)).value
         used += 1
@@ -155,8 +157,10 @@ def maximize_direction(
 
     Multi-start Nelder-Mead in the squared-weight parameterization;
     starts are the two-coordinate direction, the main diagonal, and
-    seeded random points.  Convergence means the final simplex diameter
-    in w dropped below tol.  The engine error at the reported best must
+    seeded random points.  budget caps the engine evaluations: the first
+    k = min(4, budget // (n + 2)) starts run, with budget // k each, so
+    budget must be at least n + 2.  Convergence means the final simplex
+    diameter in w dropped below tol.  The engine error at the reported best must
     stay below tol/4 (3 standard errors for the Monte Carlo engine) or
     the run is flagged unconverged.
     """
@@ -165,6 +169,8 @@ def maximize_direction(
         raise ValueError("need n >= 2")
     if engine not in ("quadrature", "montecarlo"):
         raise ValueError("engine must be quadrature or montecarlo")
+    if budget < n + 2:
+        raise ValueError(f"budget must be at least n + 2 = {n + 2} evaluations")
     quad = QuadSpec(tol_abs=tol / 4.0) if engine == "quadrature" else None
     if engine == "montecarlo" and mc is None:
         mc = McSpec(samples=200_000, seed=seed)
@@ -174,7 +180,9 @@ def maximize_direction(
     rng = RngStream(seed, 0).generator
     for _ in range(_RANDOM_STARTS):
         starts.append(np.abs(rng.standard_normal(n)) + 1e-3)
-    share = max(n + 2, budget // len(starts))
+    # every start needs n + 1 evaluations for its simplex and one step
+    starts = starts[:budget // (n + 2)]
+    share = budget // len(starts)
 
     trace = []
     best_y = None

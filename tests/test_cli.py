@@ -187,6 +187,21 @@ class TestOptimize:
         assert float(best[5]) == pytest.approx(2.0 ** 0.5, rel=1e-6)
         assert ";" in best[8]
 
+    @pytest.mark.parametrize("n,budget", [(2, 8), (3, 20), (3, 21), (12, 60)])
+    def test_best_iteration_within_budget(self, n, budget, capsys):
+        # a contraction step used to run past a start's share
+        code, out = run_cli(["optimize", "--p", "500", "--n", str(n), "--engine", "quad",
+                             "--budget", str(budget)], capsys)
+        assert code == 0
+        best = out.strip().split("\n")[-1].split(",")
+        assert best[3] == "best" and int(best[4]) <= budget
+
+    def test_budget_below_one_simplex_is_usage_error(self, capsys):
+        # n = 2 needs n + 2 = 4 evaluations; --budget 0 used to run 19
+        for bad in ("0", "-5", "3"):
+            argv = ["optimize", "--p", "4", "--n", "2", "--engine", "quad", "--budget", bad]
+            assert run_cli(argv, capsys) == (2, "")
+
 
 class TestJsonOutput:
     def test_round_trips_schema(self, capsys):

@@ -128,6 +128,8 @@ class TestMaximizeDirection:
             op.maximize_direction(4.0, 1)
         with pytest.raises(ValueError):
             op.maximize_direction(4.0, 3, engine="magic")
+        with pytest.raises(ValueError, match="budget"):
+            op.maximize_direction(4.0, 3, budget=4)
 
 
 class TestGridSearch:

@@ -52,6 +52,15 @@ def _parse_p(text: str) -> float:
     return p
 
 
+def _parse_seed(text: str) -> int:
+    # RngStream keys on the seed modulo 2^64, so larger or negative seeds
+    # would alias a stream under a different command line
+    seed = int(text)
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError("--seed must be in [0, 2^64)")
+    return seed
+
+
 def _format_p(p: float) -> str:
     return "inf" if math.isinf(p) else repr(float(p))
 
@@ -230,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol is not None:
             sp.add_argument("--tol", type=float, default=tol)
         if sampling:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_parse_seed, default=0)
             sp.add_argument("--samples", type=int, default=10 ** 6)
 
     sp = sub.add_parser("volume", help="one section volume")

@@ -93,8 +93,8 @@ class QuadSpec:
     panel_budget: int = 40000
 
     def __post_init__(self):
-        if not self.tol_abs > 0.0:
-            raise ValueError("tol_abs must be positive")
+        if not 0.0 < self.tol_abs < math.inf:
+            raise ValueError(f"tol_abs must be finite and positive, got {self.tol_abs!r}")
         if self.s_max_policy != "auto":
             if not float(self.s_max_policy) > 0.0:
                 raise ValueError("fixed s_max must be positive")

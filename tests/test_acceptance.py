@@ -116,6 +116,7 @@ class TestAcceptance:
         report("A-08 sufficient conditions", ok, f"{len(rows)} rows, {len(bad)} violations")
         assert ok
 
+    @pytest.mark.slow  # about 400 s, most of Tier-1
     def test_09_clt_rate(self):
         ns = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
         rows = mc.clt_experiment(4.0, ns, mc.McSpec(samples=10 ** 6, seed=20250808))

@@ -245,6 +245,27 @@ class TestFlags:
             assert run_cli(argv + [flag, "9"], capsys) == (2, "")
 
 
+class TestBadInput:
+    MC = ["--engine", "mc", "--samples", "100"]
+    CASES = [
+        # RngStream keys on the seed modulo 2^64: -1 aliased 2^64 - 1
+        (["volume", "--p", "4", "--diag", "3", *MC, "--seed", "-1"], "--seed"),
+        (["volume", "--p", "4", "--diag", "3", *MC, "--seed", str(2 ** 64)], "--seed"),
+        (["clt", "--p", "4", "--n-list", "2", "--samples", "1000", "--seed", "-1"], "--seed"),
+        (["optimize", "--p", "4", "--n", "2", *MC, "--budget", "8", "--seed", str(2 ** 64)], "--seed"),
+        # an infinite tolerance failed deep inside the engine
+        (["volume", "--p", "4", "--diag", "3", "--engine", "quad", "--tol", "inf"], "tol_abs"),
+        (["crossing", "--p", "4", "--n-max", "3", "--tol", "inf"], "tol_abs"),
+    ]
+
+    @pytest.mark.parametrize("argv,named", CASES, ids=[f"{c[0]}#{i}" for i, (c, _) in enumerate(CASES)])
+    def test_usage_error_naming_the_input(self, argv, named, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert named in captured.err
+
+
 class TestOutputPath:
     def test_unwritable_path_is_usage_error(self, capsys, tmp_path):
         argv = ["volume", "--p", "4", "--a2", "3", "--engine", "closed", "--output-path"]

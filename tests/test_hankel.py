@@ -203,6 +203,8 @@ class TestQuadSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             hk.QuadSpec(tol_abs=0.0)
+        with pytest.raises(ValueError, match="tol_abs"):
+            hk.QuadSpec(tol_abs=math.inf)
         with pytest.raises(ValueError):
             hk.QuadSpec(s_max_policy=-3.0)
 

@@ -17,11 +17,12 @@ Error model
 -----------
 * Kernel truncation at r_max is certified analytically:
   |tail| <= 2/Gamma(1+2/p) * 1/p * gamma_upper(2/p, r_max^p).
-* Kernel quadrature error is estimated by Gauss-Legendre order
-  comparison on radial cells graded dyadically in u = r^p (so the
-  weight varies by at most one octave per cell, whatever p) and
-  subdivided to quarter-period width (so each panel sees at most one
-  sign change of the oscillatory factor).
+* Kernel quadrature error is estimated by comparing Gauss-Legendre
+  rules with 8 and 12 nodes on radial cells graded dyadically in
+  u = r^p (so the weight varies by at most one octave per cell, whatever
+  p) and subdivided to quarter-period width (so each panel sees at most
+  one sign change of the oscillatory factor).  The kernel's bound also
+  covers the rounding of 2/Gamma(1+2/p) and of the panel sums.
 * For finite p the outer quadrature reads the kernel from a per-p
   piecewise Chebyshev table (degree 24 on panels of width 2, nodes from
   kernel_values).  Each table value carries a certified bound: the
@@ -32,9 +33,11 @@ Error model
   target, and every p without a usable bound (p = 1), are evaluated
   directly.
 * The outer integral is truncated at s_max with a rigorous envelope
-  bound (tail_bound_outer) and integrated adaptively, panel error again
-  from order doubling, inner kernel errors propagated through the
-  product rule |d prod| <= sum_j |d k_j| * prod of bounds.
+  bound (tail_bound_outer) and integrated adaptively, panel error from
+  comparing 12 with 24 nodes, inner kernel errors propagated through the
+  product rule |d prod| <= sum_j |d k_j| * prod of bounds, and the
+  rounding of the Gamma(1+2/p)/2 prefactor added.  The orders are
+  module constants, not settings.
 
 Results depend only on the arguments.  The only shared state is a set of
 lazily filled caches (radial cells, truncation radii, envelope families
@@ -117,8 +120,7 @@ _GL_ORDER = 12
 
 @functools.lru_cache(maxsize=None)
 def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _j1_normalized(x: np.ndarray) -> np.ndarray:
@@ -620,9 +622,7 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         n_pan = lo.size
-        s_nodes_1 = (mid[:, None] + half[:, None] * g1[None, :]).ravel()
-        s_nodes_2 = (mid[:, None] + half[:, None] * g2[None, :]).ravel()
-        s_all = np.concatenate([s_nodes_1, s_nodes_2])
+        s_all = np.concatenate([(mid[:, None] + half[:, None] * g[None, :]).ravel() for g in (g1, g2)])
         x_all = (coeffs[:, None] * s_all[None, :]).ravel()
         kv, ke, added, interp = _kernel_lookup(p, x_all, trunc_target)
         evals += x_all.size

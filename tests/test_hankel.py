@@ -303,6 +303,64 @@ class TestSectionVolume:
             hk.section_volume_quadrature(4.0, Direction.diagonal(3), spec)
 
 
+def outer_adaptive_loop(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
+    """The outer integration with per-panel Python bookkeeping: a list of
+    (lo, hi) tuples as the queue and three accumulator lists.  Same waves
+    and arithmetic as hankel._outer_adaptive, so the totals must match
+    bit for bit."""
+    order = hk._GL_ORDER
+    g1, w1 = hk._gl_nodes(order)
+    g2, w2 = hk._gl_nodes(2 * order)
+    n_init = int(min(1024, max(6, math.ceil(s_max * float(np.sum(coeffs * mults)) / (2.0 * math.pi)))))
+    edges = np.linspace(0.0, s_max, n_init + 1)
+    pending = list(zip(edges[:-1], edges[1:]))
+    acc_vals, acc_est, acc_prop = [], [], []
+    while pending:
+        assert len(acc_vals) + len(pending) <= spec.panel_budget
+        wave, pending = pending[:hk._WAVE_LIMIT], pending[hk._WAVE_LIMIT:]
+        lo = np.array([w[0] for w in wave])
+        hi = np.array([w[1] for w in wave])
+        mid, half, n_pan = 0.5 * (lo + hi), 0.5 * (hi - lo), len(wave)
+        s_all = np.concatenate([(mid[:, None] + half[:, None] * g[None, :]).ravel() for g in (g1, g2)])
+        kv, ke, _, _ = hk._kernel_lookup(p, (coeffs[:, None] * s_all[None, :]).ravel(), trunc_target)
+        kv, ke = kv.reshape(coeffs.size, -1), ke.reshape(coeffs.size, -1)
+        bounds = np.maximum(np.minimum(1.0, np.abs(kv) + ke), 1e-300)
+        prod_bound = np.prod(bounds ** mults[:, None], axis=0)
+        prop = np.zeros_like(s_all)
+        for i in range(coeffs.size):
+            prop += mults[i] * ke[i] * prod_bound / bounds[i]
+        f_all = np.prod(kv ** mults[:, None], axis=0) * s_all
+        k1 = n_pan * order
+        f1 = (f_all[:k1].reshape(n_pan, order) * w1[None, :]).sum(axis=1) * half
+        f2 = (f_all[k1:].reshape(n_pan, 2 * order) * w2[None, :]).sum(axis=1) * half
+        p2 = ((prop * s_all)[k1:].reshape(n_pan, 2 * order) * w2[None, :]).sum(axis=1) * half
+        est = np.abs(f2 - f1)
+        accept = (est <= tol_quad * (hi - lo) / s_max) | (hi - lo <= s_max * 1e-12)
+        for j in range(n_pan):
+            if accept[j]:
+                acc_vals.append(float(f2[j]))
+                acc_est.append(float(est[j]))
+                acc_prop.append(float(p2[j]))
+            else:
+                m = float(mid[j])
+                pending += [(float(lo[j]), m), (m, float(hi[j]))]
+    return math.fsum(acc_vals), math.fsum(acc_est), math.fsum(acc_prop), len(acc_vals)
+
+
+class TestOuterQueue:
+    @pytest.mark.parametrize("p,a,tol", [(4.0, [1.0, 0.8, 0.6], 1e-9), (INF, [1.0, 1.0, 1.0], 1e-8),
+                                         (2.3, [1.0, 1.0, 1.0, 1.0], 1e-7)])
+    def test_matches_per_panel_loop(self, p, a, tol):
+        d = Direction(a)
+        coeffs = np.array([g[0] for g in d.grouped()])
+        mults = np.array([g[1] for g in d.grouped()])
+        spec, s_max = hk.QuadSpec(tol_abs=tol), 30.0
+        args = (p, coeffs, mults, s_max, spec, 1e-3 * tol, min(tol / 10.0, max(1e-13, tol * 1e-5)))
+        got = hk._outer_adaptive(*args)
+        assert got[3] > 6  # some panels were split
+        assert got[:4] == outer_adaptive_loop(*args)
+
+
 class TestCrossEngineLight:
     def test_quad_vs_mc_p4_diag3(self):
         from lpsections.montecarlo import McSpec, estimate_section_volume

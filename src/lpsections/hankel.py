@@ -118,7 +118,7 @@ _GL_ORDER_LOW = 8
 _GL_ORDER = 12
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _gl_nodes(order: int):
     return np.polynomial.legendre.leggauss(order)
 

@@ -255,7 +255,7 @@ def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, levels: int):
         s2 = per_x_sums(fw)
         vals[start:stop] = s2
         ests[start:stop] = np.abs(s2 - s1)
-        mags[start:stop] = per_x_sums(np.abs(fw))
+        mags[start:stop] = per_x_sums(np.abs(fw, out=fw))
         start = stop
     raw = vals + head
     rounding = _gamma_n(per_x + 14, _U) * mags + _gamma_n(4, _U) * (np.abs(head) + np.abs(raw))

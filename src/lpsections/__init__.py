@@ -26,7 +26,6 @@ from .analysis import (
 from .direction import Direction, canonicalize
 from .hankel import (
     NonConvergenceError,
-    QuadSpec,
     VolumeResult,
     section_volume_quadrature,
     tail_bound_outer,
@@ -44,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CrossingReport", "Direction", "Ineq", "LipschitzReport",
-    "McSpec", "NonConvergenceError", "OptReport", "QuadSpec",
+    "McSpec", "NonConvergenceError", "OptReport",
     "RngStream", "VolumeResult",
     "a2_closed_form", "a2_general", "canonicalize", "clt_experiment",
     "crossing_scan", "estimate_section_volume",

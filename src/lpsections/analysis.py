@@ -19,7 +19,7 @@ import numpy as np
 
 from .closedform import a2_closed_form, a2_general, limit_diagonal
 from .direction import Direction, canonicalize, is_inf, validate_exponent
-from .hankel import QuadSpec, VolumeResult, section_volume_quadrature
+from .hankel import VolumeResult, section_volume_quadrature
 # not called here: the benchmark's span tracer (perfbench/layers.py) rebinds this name
 from .montecarlo import estimate_section_volume  # noqa: F401
 from .specfun import digamma, gamma
@@ -144,19 +144,18 @@ class LipschitzReport:
     value_inf: VolumeResult
 
 
-def lipschitz_gap(p: float, a, quad: Optional[QuadSpec] = None) -> LipschitzReport:
+def lipschitz_gap(p: float, a, tol: float = 1e-8) -> LipschitzReport:
     """|volume(p, a) - volume(inf, a)| against the bound 16/p, for p > 8.
 
-    Both sides run through the quadrature engine (closed forms when the
-    direction has at most two nonzero coordinates).
+    Both sides run through the quadrature engine at tol_abs = tol (closed
+    forms when the direction has at most two nonzero coordinates).
     """
     p = validate_exponent(p)
     if not p > 8.0:
         raise ValueError(f"the 16/p bound is stated for p > 8, got {p}")
     a = canonicalize(a)
-    quad = quad or QuadSpec()
-    vp = section_volume_quadrature(p, a, quad)
-    vinf = section_volume_quadrature(math.inf, a, quad)
+    vp = section_volume_quadrature(p, a, tol)
+    vinf = section_volume_quadrature(math.inf, a, tol)
     gap = abs(vp.value - vinf.value)
     bound = 16.0 / p
     within = gap + vp.err_bound + vinf.err_bound < bound
@@ -194,9 +193,10 @@ class CrossingReport:
     holds_for_all_tail: bool
 
 
-def crossing_scan(p: float, n_max: int, quad: Optional[QuadSpec] = None) -> CrossingReport:
+def crossing_scan(p: float, n_max: int, tol: float = 1e-6) -> CrossingReport:
     """Scan n = 3..n_max for the certified strict inequality
-    diagonal-volume(n) > two-coordinate-volume, at fixed finite p > 2.
+    diagonal-volume(n) > two-coordinate-volume, at fixed finite p > 2,
+    with diagonal volumes from the quadrature engine at tol_abs = tol.
 
     holds is True only when the certified lower edge clears the
     threshold; straddling bands are reported indeterminate, never
@@ -207,11 +207,10 @@ def crossing_scan(p: float, n_max: int, quad: Optional[QuadSpec] = None) -> Cros
         raise ValueError(f"crossing scan requires finite p > 2, got {p}")
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    quad = quad or QuadSpec(tol_abs=1e-6)
     threshold = a2_closed_form(p)
     entries = []
     for n in range(3, n_max + 1):
-        res = section_volume_quadrature(p, Direction.diagonal(n), quad)
+        res = section_volume_quadrature(p, Direction.diagonal(n), tol)
         verdict = certify_above(res.value, res.err_bound, threshold)
         entries.append(CrossingEntry(n, res, threshold,
                                      verdict == "above", verdict == "indeterminate"))
@@ -249,14 +248,13 @@ def verify_lemma1(count: int = 48) -> list[Ineq]:
     return rows
 
 
-def verify_lipschitz(quad: Optional[QuadSpec] = None) -> list[Ineq]:
+def verify_lipschitz(tol: float = 1e-4) -> list[Ineq]:
     """Gap rows for p in {16, 32, 64} and the two-, three- and
-    five-coordinate diagonal directions."""
-    quad = quad or QuadSpec(tol_abs=1e-4)
+    five-coordinate diagonal directions, volumes at tol_abs = tol."""
     rows = []
     for p in (16.0, 32.0, 64.0):
         for k in (2, 3, 5):
-            rep = lipschitz_gap(p, Direction.diagonal(k), quad)
+            rep = lipschitz_gap(p, Direction.diagonal(k), tol)
             err = rep.value_p.err_bound + rep.value_inf.err_bound
             rows.append(Ineq.check("lipschitz_gap", p, rep.bound, rep.gap + err, n=k))
     return rows

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, hankel
 from .closedform import section_value
 from .direction import Direction
-from .hankel import NonConvergenceError, QuadSpec, section_volume_quadrature
+from .hankel import NonConvergenceError, section_volume_quadrature
 from .montecarlo import McSpec, clt_experiment, estimate_section_volume
 from .optimize import maximize_direction
 from .schemas import SCHEMAS, validate_output
@@ -125,7 +125,7 @@ def _cmd_volume(args) -> int:
             raise UsageError("closed engine needs a direction with at most 2 nonzero entries")
         row = dict(engine="closed_form", value=value, err_bound=0.0, samples=None, seed=None)
     elif args.engine == "quad":
-        res = section_volume_quadrature(p, direction, QuadSpec(tol_abs=args.tol))
+        res = section_volume_quadrature(p, direction, args.tol)
         row = dict(engine=res.engine, value=res.value, err_bound=res.err_bound,
                    samples=None, seed=None)
     else:
@@ -145,13 +145,11 @@ def _cmd_kernel(args) -> int:
         raise UsageError("--tol must be finite and positive")
     if (args.s_max + 1e-12) / args.step >= KERNEL_MAX_ROWS:
         raise UsageError(f"--s-max / --step must be below {KERNEL_MAX_ROWS} (one row per step)")
-    grid = []
-    s = 0.0
-    while s <= args.s_max + 1e-12:
-        grid.append(s)
-        s += args.step
+    # s = k * step, not a running sum, so the grid does not drift
+    grid = np.arange(int((args.s_max + 1e-12) / args.step) + 2) * args.step
+    grid = grid[grid <= args.s_max + 1e-12]
     # looked up on the module, so that a hook on hankel.kernel_values sees this call
-    values, errs = hankel.kernel_values(p, np.array(grid), trunc_target=max(args.tol, 1e-12) / 2.0)
+    values, errs = hankel.kernel_values(p, grid, trunc_target=max(args.tol, 1e-12) / 2.0)
     rows = [dict(p=_format_p(p), s=float(s), value=float(v), err_bound=float(e))
             for s, v, e in zip(grid, values, errs)]
     _emit(args, "kernel", rows)
@@ -160,7 +158,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_crossing(args) -> int:
     p = _parse_p(args.p)
-    report = analysis.crossing_scan(p, args.n_max, QuadSpec(tol_abs=args.tol))
+    report = analysis.crossing_scan(p, args.n_max, args.tol)
     rows = []
     for e in report.per_n:
         rows.append(dict(
@@ -183,7 +181,7 @@ def _cmd_verify(args) -> int:
         elif suite == "sufficient":
             ineqs = analysis.verify_sufficient()
         else:
-            ineqs = analysis.verify_lipschitz(QuadSpec(tol_abs=args.tol))
+            ineqs = analysis.verify_lipschitz(args.tol)
         for q in ineqs:
             ok = ok and q.satisfied
             rows.append(dict(suite=suite, name=q.name, p=_format_p(q.p), n=q.n,
@@ -208,12 +206,11 @@ def _cmd_clt(args) -> int:
 
 def _cmd_optimize(args) -> int:
     p = _parse_p(args.p)
-    engine = {"quad": "quadrature", "mc": "montecarlo"}[args.engine]
-    mc = McSpec(samples=args.samples, seed=args.seed) if engine == "montecarlo" else None
-    report = maximize_direction(p, args.n, engine=engine, budget=args.budget,
-                                tol=args.tol, seed=args.seed, mc=mc)
+    mc = McSpec(samples=args.samples, seed=args.seed) if args.engine == "mc" else None
+    report = maximize_direction(p, args.n, budget=args.budget, tol=args.tol,
+                                seed=args.seed, mc=mc)
     rows = []
-    base = dict(p=_format_p(p), n=args.n, engine=engine, converged=report.converged)
+    base = dict(p=_format_p(p), n=args.n, engine=report.meta["engine"], converged=report.converged)
     for it, val in report.trace:
         rows.append(dict(base, record="trace", iteration=it, value=val,
                          err_bound=None, coords=None))

@@ -39,6 +39,10 @@ Error model
   rounding of the Gamma(1+2/p)/2 prefactor added.  The orders are
   module constants, not settings.
 
+The one setting is tol_abs.  A call whose certified bound misses it,
+or that needs more than _PANEL_BUDGET outer panels, raises
+NonConvergenceError.
+
 Results depend only on the arguments.  The only shared state is a set of
 lazily filled caches (radial cells, truncation radii, envelope families
 and the per-p kernel tables); a table panel depends only on (p, kernel
@@ -52,7 +56,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
@@ -80,27 +83,6 @@ class NonConvergenceError(RuntimeError):
 
 class DimensionError(ValueError):
     """Operation requires more nonzero coordinates than provided."""
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature engine configuration.
-
-    tol_abs      requested absolute error on the volume
-    s_max_policy "auto" or a fixed outer cutoff
-    panel_budget outer panel limit before declaring non-convergence
-    """
-
-    tol_abs: float = 1e-8
-    s_max_policy: Union[str, float] = "auto"
-    panel_budget: int = 40000
-
-    def __post_init__(self):
-        if not 0.0 < self.tol_abs < math.inf:
-            raise ValueError(f"tol_abs must be finite and positive, got {self.tol_abs!r}")
-        if self.s_max_policy != "auto":
-            if not float(self.s_max_policy) > 0.0:
-                raise ValueError("fixed s_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -552,9 +534,10 @@ def tail_bound_outer(p: float, a, s_max: float) -> float:
     For each envelope family and each cut m, the m largest coordinates
     take the power-law factor (closed-form tail integral) and the rest
     are capped by their envelope value at s_max; the minimum over all
-    valid combinations is returned.  Requires at least three nonzero
-    coordinates (two-coordinate products decay too slowly for the q=1
-    envelope to integrate).
+    valid combinations is returned, or math.inf when that minimum is
+    past the double range.  Requires at least three nonzero coordinates
+    (two-coordinate products decay too slowly for the q=1 envelope to
+    integrate).
     """
     p = validate_exponent(p)
     a = canonicalize(a)
@@ -584,7 +567,10 @@ def tail_bound_outer(p: float, a, s_max: float) -> float:
             best_log = min(best_log, log_b)
     if not math.isfinite(best_log):
         raise NonConvergenceError("no valid envelope combination for the outer tail")
-    return math.exp(best_log)
+    try:
+        return math.exp(best_log)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +578,10 @@ def tail_bound_outer(p: float, a, s_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 _WAVE_LIMIT = 1500  # panels per evaluation wave (memory control)
+_PANEL_BUDGET = 40000  # outer panels, accepted plus pending, per call
 
 
-def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
+def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
     order = _GL_ORDER
     g1, w1 = _gl_nodes(order)
     g2, w2 = _gl_nodes(2 * order)
@@ -612,9 +599,9 @@ def _outer_adaptive(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
     min_width = s_max * 1e-12
 
     while queue_lo.size:
-        if n_accepted + queue_lo.size > spec.panel_budget:
+        if n_accepted + queue_lo.size > _PANEL_BUDGET:
             raise NonConvergenceError(
-                f"outer panel budget {spec.panel_budget} exhausted "
+                f"outer panel budget {_PANEL_BUDGET} exhausted "
                 f"({n_accepted} accepted, {queue_lo.size} pending)"
             )
         lo, queue_lo = queue_lo[:_WAVE_LIMIT], queue_lo[_WAVE_LIMIT:]
@@ -667,27 +654,26 @@ def _auto_s_max(p, a, prefactor, tol_abs):
     raise NonConvergenceError("outer tail bound cannot reach tol_abs/2")
 
 
-def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> VolumeResult:
+def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResult:
     """Normalized section volume by the deterministic product-integral.
 
     Directions with one or two nonzero coordinates are routed to the
     exact closed forms (engine tag "closed_form").  Otherwise the outer
     integral runs to a cutoff certified by tail_bound_outer and the
     total err_bound (tail + quadrature estimate + propagated kernel
-    error) is checked against spec.tol_abs.
+    error) is checked against tol_abs, which must be finite and positive
+    on either route.
     """
+    if not 0.0 < tol_abs < math.inf:
+        raise ValueError(f"tol_abs must be finite and positive, got {tol_abs!r}")
     p = validate_exponent(p)
     a = canonicalize(a)
-    spec = spec or QuadSpec()
     closed = section_value(p, a)
     if closed is not None:
         return VolumeResult(closed, 0.0, "closed_form")
 
     prefactor = 0.5 if is_inf(p) else 0.5 * gamma(1.0 + 2.0 / p)
-    if spec.s_max_policy == "auto":
-        s_max = _auto_s_max(p, a, prefactor, spec.tol_abs)
-    else:
-        s_max = float(spec.s_max_policy)
+    s_max = _auto_s_max(p, a, prefactor, tol_abs)
     tail = prefactor * tail_bound_outer(p, a, s_max)
 
     groups = a.grouped()
@@ -695,10 +681,10 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
     mults = np.array([g[1] for g in groups])
     # deep enough that propagated kernel error stays far below tol_abs,
     # without paying full depth at loose tolerances
-    trunc_target = min(spec.tol_abs / 10.0, max(1e-13, spec.tol_abs * 1e-5))
-    tol_quad = 0.375 * spec.tol_abs / prefactor
+    trunc_target = min(tol_abs / 10.0, max(1e-13, tol_abs * 1e-5))
+    tol_quad = 0.375 * tol_abs / prefactor
     total, quad_est, inner_prop, n_panels, evals, nodes, interp = _outer_adaptive(
-        p, coeffs, mults, s_max, spec, tol_quad, trunc_target
+        p, coeffs, mults, s_max, tol_quad, trunc_target
     )
     value = prefactor * total
     # Gamma(1+2/p) and the product with it round; at p = inf the factor 1/2 is exact
@@ -715,8 +701,8 @@ def section_volume_quadrature(p: float, a, spec: Optional[QuadSpec] = None) -> V
         "kernel_error_propagated": prefactor * inner_prop,
         "prefactor_error": pref_err,
     }
-    if err > spec.tol_abs:
+    if err > tol_abs:
         raise NonConvergenceError(
-            f"certified error {err:.3e} exceeds tol_abs {spec.tol_abs:.3e} (meta: {meta})"
+            f"certified error {err:.3e} exceeds tol_abs {tol_abs:.3e} (meta: {meta})"
         )
     return VolumeResult(value, err, "quadrature", meta)

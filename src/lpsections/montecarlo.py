@@ -4,11 +4,11 @@
 
 with R_j the radial modulus law and xi_j uniform on the 3-sphere.
 
-The raw (plain) estimator |sum|^(-2) has a logarithmically divergent
-second moment in dimension four (the density of |sum| grows like r^3 at
-the origin), so the default estimator is Rao-Blackwellized: the sphere
-variable attached to the largest magnitude b_k = a_k R_k is integrated
-out in closed form.  Writing S for the partial sum over j != k and
+The raw estimator |sum|^(-2) has a logarithmically divergent second
+moment in dimension four (the density of |sum| grows like r^3 at the
+origin), so the estimator is Rao-Blackwellized: the sphere variable
+attached to the largest magnitude b_k = a_k R_k is integrated out in
+closed form.  Writing S for the partial sum over j != k and
 conditioning on |S| = u, the law of |S + v xi|^2 is
 u^2 + v^2 + 2 u v T with T the real part of a uniform point of the unit
 disc, and
@@ -36,26 +36,20 @@ from .hankel import VolumeResult
 from .randkit import RngStream, radial_array, sphere3_array
 from .specfun import gamma
 
-_STRATEGIES = ("plain", "rao_blackwell")
-# batches per estimate: they give the error bars (and the median-of-means
-# aggregate of the heavy-tailed plain strategy)
+# batches per estimate: their spread gives the error bars
 _BATCHES = 32
 
 
 @dataclass(frozen=True)
 class McSpec:
-    """Monte Carlo configuration: sample count, base seed and estimator
-    strategy."""
+    """Monte Carlo configuration: sample count and base seed."""
 
     samples: int = 1_000_000
     seed: int = 0
-    strategy: str = "rao_blackwell"
 
     def __post_init__(self):
         if self.samples < _BATCHES:
             raise ValueError(f"samples must be >= {_BATCHES} (one per batch)")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
 
 
 def rao_blackwell_kernel(u: float, v: float) -> float:
@@ -72,8 +66,8 @@ def rao_blackwell_kernel(u: float, v: float) -> float:
     return 1.0 / (m * m)
 
 
-def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int, strategy: str):
-    """Per-draw estimator values (pre gamma-factor)."""
+def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int):
+    """Per-draw Rao-Blackwellized values (pre gamma-factor)."""
     n = a.size
     chunk = max(1, min(count, (1 << 21) // (4 * n)))
     vals = np.empty(count)
@@ -86,13 +80,10 @@ def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int, s
         k = np.argmax(b, axis=1)
         rows = np.arange(m)
         bk = b[rows, k]
-        if strategy == "plain":
-            vals[done:done + m] = 1.0 / np.einsum("ik,ik->i", vec, vec)
-        else:
-            s = vec - bk[:, None] * xi[rows, k, :]
-            u = np.sqrt(np.einsum("ik,ik->i", s, s))
-            top = np.maximum(u, bk)
-            vals[done:done + m] = 1.0 / (top * top)
+        s = vec - bk[:, None] * xi[rows, k, :]
+        u = np.sqrt(np.einsum("ik,ik->i", s, s))
+        top = np.maximum(u, bk)
+        vals[done:done + m] = 1.0 / (top * top)
         done += m
     return vals
 
@@ -107,11 +98,9 @@ def estimate_section_volume(
 ) -> VolumeResult:
     """Monte Carlo estimate of the normalized section volume.
 
-    The rao_blackwell strategy aggregates by mean of batch means, the
-    plain strategy by median of batch means (robust against its heavy
-    tail).  std_err is the spread of batch means in either case.
-    Directions with fewer than two nonzero coordinates have the exact
-    value 1 and are flagged, not simulated.
+    The value is the mean of the batch means and err_bound its standard
+    error from their spread.  Directions with fewer than two nonzero
+    coordinates have the exact value 1 and are flagged, not simulated.
     """
     p = validate_exponent(p)
     a = canonicalize(a)
@@ -124,19 +113,17 @@ def estimate_section_volume(
     batch_means = []
     for bi, bn in enumerate(_batch_sizes(spec.samples, _BATCHES)):
         gen = base.substream(bi).generator
-        vals = _draw_batch(p, arr, gen, bn, spec.strategy)
+        vals = _draw_batch(p, arr, gen, bn)
         batch_means.append(float(vals.mean()))
     bm = np.array(batch_means) * g2
-    agg = float(np.median(bm)) if spec.strategy == "plain" else float(bm.mean())
     std_err = float(bm.std(ddof=1) / math.sqrt(bm.size)) if bm.size > 1 else 0.0
     meta = {
         "samples": spec.samples,
         "batches": _BATCHES,
         "seed": spec.seed,
-        "strategy": spec.strategy,
         "batch_values": tuple(float(v) for v in bm),
     }
-    return VolumeResult(agg, std_err, "montecarlo", meta)
+    return VolumeResult(float(bm.mean()), std_err, "montecarlo", meta)
 
 
 @dataclass(frozen=True)

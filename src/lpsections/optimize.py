@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .direction import Direction, validate_exponent
-from .hankel import QuadSpec, VolumeResult, section_volume_quadrature
+from .hankel import VolumeResult, section_volume_quadrature
 from .montecarlo import McSpec, estimate_section_volume
 from .randkit import RngStream
 
@@ -57,12 +57,12 @@ def _as_direction(y: np.ndarray) -> Direction:
 class _Objective:
     """Engine-backed objective with evaluation counting and memoization
     on the canonical direction (plateaus from canonicalization would
-    otherwise re-pay the engine)."""
+    otherwise re-pay the engine).  The engines are module globals looked
+    up at each call, so a hook that rebinds them sees every call."""
 
-    def __init__(self, p, engine, quad, mc):
+    def __init__(self, p, tol_abs, mc):
         self.p = p
-        self.engine = engine
-        self.quad = quad
+        self.tol_abs = tol_abs
         self.mc = mc
         self.cache: dict = {}
         self.evals = 0
@@ -71,8 +71,8 @@ class _Objective:
         hit = self.cache.get(d)
         if hit is not None:
             return hit
-        if self.engine == "quadrature":
-            res = section_volume_quadrature(self.p, d, self.quad)
+        if self.mc is None:
+            res = section_volume_quadrature(self.p, d, self.tol_abs)
         else:
             res = estimate_section_volume(self.p, d, self.mc)
         self.evals += 1
@@ -147,7 +147,6 @@ def _nelder_mead(obj, y0, budget, tol):
 def maximize_direction(
     p: float,
     n: int,
-    engine: str = "quadrature",
     budget: int = 240,
     tol: float = 1e-2,
     seed: int = 0,
@@ -160,21 +159,17 @@ def maximize_direction(
     seeded random points.  budget caps the engine evaluations: the first
     k = min(4, budget // (n + 2)) starts run, with budget // k each, so
     budget must be at least n + 2.  Convergence means the final simplex
-    diameter in w dropped below tol.  The engine error at the reported best must
-    stay below tol/4 (3 standard errors for the Monte Carlo engine) or
-    the run is flagged unconverged.
+    diameter in w dropped below tol.  The engine is quadrature at
+    tol_abs = tol/4, or Monte Carlo when mc is given; its error at the
+    reported best must stay below tol/4 (3 standard errors for Monte
+    Carlo) or the run is flagged unconverged.
     """
     p = validate_exponent(p)
     if n < 2:
         raise ValueError("need n >= 2")
-    if engine not in ("quadrature", "montecarlo"):
-        raise ValueError("engine must be quadrature or montecarlo")
     if budget < n + 2:
         raise ValueError(f"budget must be at least n + 2 = {n + 2} evaluations")
-    quad = QuadSpec(tol_abs=tol / 4.0) if engine == "quadrature" else None
-    if engine == "montecarlo" and mc is None:
-        mc = McSpec(samples=200_000, seed=seed)
-    obj = _Objective(p, engine, quad, mc)
+    obj = _Objective(p, tol / 4.0, mc)
 
     starts = [Direction.two_equal(n).as_array(), Direction.diagonal(n).as_array()]
     rng = RngStream(seed, 0).generator
@@ -204,7 +199,7 @@ def maximize_direction(
     best_res = obj(best_dir)
     err_ok = obj.error_unit(best_res) <= tol / 4.0
     meta = {
-        "engine": engine,
+        "engine": "quadrature" if mc is None else "montecarlo",
         "starts": len(starts),
         "engine_evals": obj.evals,
         "seed": seed,

@@ -28,8 +28,7 @@ class TestAcceptance:
     def test_01_closed_form_reproduction(self):
         worst = 0.0
         for p in (3.0, 4.0, 9.0, 26.265, 140.0):
-            res = hk.section_volume_quadrature(p, Direction.two_equal(3),
-                                               hk.QuadSpec(tol_abs=1e-6))
+            res = hk.section_volume_quadrature(p, Direction.two_equal(3), 1e-6)
             worst = max(worst, abs(res.value - 2.0 ** (1.0 - 2.0 / p)))
         ok = worst <= 1e-6
         report("A-01 two-equal closed form", ok, f"max deviation {worst:.2e} <= 1e-06")
@@ -43,7 +42,7 @@ class TestAcceptance:
                 b = np.abs(rng.standard_normal(2)) + 0.05
                 b /= np.linalg.norm(b)
                 d = Direction([b[0], b[1], 0.0])
-                res = hk.section_volume_quadrature(p, d, hk.QuadSpec(tol_abs=1e-6))
+                res = hk.section_volume_quadrature(p, d, 1e-6)
                 nz = d.nonzero()
                 expected = (nz[0] ** p + nz[1] ** p) ** (-2.0 / p)
                 worst = max(worst, abs(res.value - expected))
@@ -57,7 +56,7 @@ class TestAcceptance:
         details = []
         ok = True
         for p, d in cases:
-            q = hk.section_volume_quadrature(p, d, hk.QuadSpec(tol_abs=1e-5))
+            q = hk.section_volume_quadrature(p, d, 1e-5)
             m = mc.estimate_section_volume(p, d, mc.McSpec(samples=10 ** 7, seed=31))
             # combined error unit: three sigmas of the statistical engine
             # plus the certified deterministic bound
@@ -72,8 +71,7 @@ class TestAcceptance:
         target = math.pi / 2.0
         devs = []
         for n in (8, 16, 32, 64, 128):
-            res = hk.section_volume_quadrature(4.0, Direction.diagonal(n),
-                                               hk.QuadSpec(tol_abs=1e-5))
+            res = hk.section_volume_quadrature(4.0, Direction.diagonal(n), 1e-5)
             devs.append(abs(res.value - target))
         decreasing = all(a > b for a, b in zip(devs, devs[1:]))
         ok = decreasing and devs[-1] < 0.02
@@ -82,7 +80,7 @@ class TestAcceptance:
         assert ok
 
     def test_05_crossing_bound_p9(self):
-        rep = an.crossing_scan(9.0, 40, hk.QuadSpec(tol_abs=2e-4))
+        rep = an.crossing_scan(9.0, 40, 2e-4)
         tail = [e for e in rep.per_n if 23 <= e.n <= 40]
         all_hold = all(e.holds for e in tail)
         ok = all_hold and rep.first_n_holds is not None and rep.first_n_holds <= 23
@@ -102,7 +100,7 @@ class TestAcceptance:
         details = []
         for p in (16.0, 32.0, 64.0):
             for k in (2, 3, 5):
-                rep = an.lipschitz_gap(p, Direction.diagonal(k), hk.QuadSpec(tol_abs=1e-4))
+                rep = an.lipschitz_gap(p, Direction.diagonal(k), 1e-4)
                 side_ok = rep.value_p.err_bound <= 1e-4 and rep.value_inf.err_bound <= 1e-4
                 ok = ok and rep.within and side_ok
                 details.append(f"(p={p:g},k={k}) gap={rep.gap:.4f}<{rep.bound:.4f}")

@@ -5,7 +5,6 @@ import pytest
 
 from lpsections import analysis as an
 from lpsections.direction import Direction
-from lpsections.hankel import QuadSpec
 
 INF = math.inf
 
@@ -136,19 +135,19 @@ class TestLipschitz:
         assert rep.within
 
     def test_diag3_p32(self):
-        rep = an.lipschitz_gap(32.0, Direction.diagonal(3), QuadSpec(tol_abs=1e-4))
+        rep = an.lipschitz_gap(32.0, Direction.diagonal(3), 1e-4)
         assert rep.gap < 0.5
         assert rep.within
 
     def test_gap_shrinks_with_p(self):
-        g16 = an.lipschitz_gap(16.0, Direction.diagonal(3), QuadSpec(tol_abs=1e-4)).gap
-        g64 = an.lipschitz_gap(64.0, Direction.diagonal(3), QuadSpec(tol_abs=1e-4)).gap
+        g16 = an.lipschitz_gap(16.0, Direction.diagonal(3), 1e-4).gap
+        g64 = an.lipschitz_gap(64.0, Direction.diagonal(3), 1e-4).gap
         assert g64 < g16
 
     def test_random_direction(self):
         rng = np.random.default_rng(12)
         d = Direction(np.abs(rng.standard_normal(4)) + 0.05)
-        rep = an.lipschitz_gap(32.0, d, QuadSpec(tol_abs=1e-4))
+        rep = an.lipschitz_gap(32.0, d, 1e-4)
         assert rep.within
 
     def test_domain(self):
@@ -166,7 +165,7 @@ class TestCertification:
 
 class TestCrossingScan:
     def test_p4_scan(self):
-        rep = an.crossing_scan(4.0, 12, QuadSpec(tol_abs=1e-4))
+        rep = an.crossing_scan(4.0, 12, 1e-4)
         assert rep.p == 4.0
         assert rep.n_examined == (3, 12)
         assert rep.first_n_holds is not None
@@ -178,14 +177,14 @@ class TestCrossingScan:
             assert not (e.holds and e.indeterminate)
 
     def test_p21_certified_at_tight_tol(self):
-        rep = an.crossing_scan(2.1, 5, QuadSpec(tol_abs=1e-5))
+        rep = an.crossing_scan(2.1, 5, 1e-5)
         assert rep.first_n_holds == 3
         assert rep.holds_for_all_tail
 
     def test_p21_indeterminate_at_loose_tol(self):
         # at n = 3 the certified band (~6.1e-3 at this budget) straddles the
         # ~5.6e-3 gap above the threshold: must be reported, not coerced
-        rep = an.crossing_scan(2.1, 5, QuadSpec(tol_abs=2e-2))
+        rep = an.crossing_scan(2.1, 5, 2e-2)
         assert rep.per_n[0].indeterminate and not rep.per_n[0].holds
         for e in rep.per_n:
             assert e.holds == (e.a_diag.value - e.a_diag.err_bound > e.a_two)

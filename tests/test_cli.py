@@ -86,6 +86,13 @@ class TestVolume:
         assert code == 3
         assert "p=1e+20" in capsys.readouterr().err
 
+    def test_tail_overflow_exits_3(self, capsys):
+        # the outer tail bound overflowed a double and exited 1 with a traceback
+        code = cli.main(["volume", "--p", "4", "--a", "1,1e-200,1e-200", "--engine", "quad"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "outer tail bound cannot reach tol_abs/2" in captured.err
+
 
 class TestKernelTable:
     def test_rows_and_header(self, capsys):
@@ -95,6 +102,13 @@ class TestKernelTable:
         assert lines[0] == EXPECTED_HEADERS["kernel"]
         assert len(lines) == 1 + 5  # s = 0, 0.5, 1.0, 1.5, 2.0
         assert lines[1].split(",")[1:3] == ["0.0", "1.0"]
+
+    def test_grid_is_multiples_of_step(self, capsys):
+        # a running sum s += step drifted to 24.300000000001 and lost the row at 24.31
+        code, out = run_cli(["kernel", "--p", "inf", "--s-max", "24.31", "--step", "0.01"], capsys)
+        assert code == 0
+        s = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        assert s == [k * 0.01 for k in range(2432)]
 
     def test_non_finite_grid_is_usage_error(self, capsys):
         # an infinite --s-max never ended, and nan printed a table

@@ -127,7 +127,7 @@ class TestExactOracles:
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_p1_diagonal_volume(self, n):
-        res = hk.section_volume_quadrature(1.0, Direction.diagonal(n), hk.QuadSpec(tol_abs=1e-6))
+        res = hk.section_volume_quadrature(1.0, Direction.diagonal(n), 1e-6)
         assert res.engine == "quadrature"
         assert abs(res.value - n / (3.0 * n - 2.0)) <= res.err_bound
 
@@ -198,15 +198,18 @@ class TestTailBound:
         with pytest.raises(hk.DimensionError):
             hk.tail_bound_outer(4.0, Direction([1.0, 1.0, 0.0]), 10.0)
 
+    def test_overflow_is_infinite(self):
+        # the bound's logarithm is past the double range: inf, not OverflowError
+        assert hk.tail_bound_outer(4.0, [1.0, 1e-200, 1e-200], 4.0) == INF
 
-class TestQuadSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hk.QuadSpec(tol_abs=0.0)
+
+class TestTolerance:
+    # checked before the closed-form routing, so two_equal(2) rejects it too
+    @pytest.mark.parametrize("tol", [0.0, -1.0, INF, math.nan], ids=["0", "neg", "inf", "nan"])
+    @pytest.mark.parametrize("d", [Direction.diagonal(3), Direction.two_equal(2)], ids=["diag3", "a2"])
+    def test_validation(self, d, tol):
         with pytest.raises(ValueError, match="tol_abs"):
-            hk.QuadSpec(tol_abs=math.inf)
-        with pytest.raises(ValueError):
-            hk.QuadSpec(s_max_policy=-3.0)
+            hk.section_volume_quadrature(4.0, d, tol)
 
 
 class TestSectionVolume:
@@ -236,34 +239,32 @@ class TestSectionVolume:
             assert res.value == a2_general(9.0, nz[0], nz[1])
 
     def test_zero_padding_invariance(self):
-        spec = hk.QuadSpec(tol_abs=1e-6)
-        r1 = hk.section_volume_quadrature(9.0, Direction.diagonal(3), spec)
-        r2 = hk.section_volume_quadrature(9.0, Direction([1.0, 1.0, 1.0, 0.0, 0.0]), spec)
+        r1 = hk.section_volume_quadrature(9.0, Direction.diagonal(3), 1e-6)
+        r2 = hk.section_volume_quadrature(9.0, Direction([1.0, 1.0, 1.0, 0.0, 0.0]), 1e-6)
         assert abs(r1.value - r2.value) <= 2e-6
 
     def test_permutation_invariance(self):
-        spec = hk.QuadSpec(tol_abs=1e-4)
+        tol = 1e-4
         raw = [0.8, 0.4, 0.4472135954999579]
         d1 = Direction(raw)
         d2 = Direction([raw[2], raw[0], raw[1]])  # permuted, same multiset
         assert d1 == d2
-        r1 = hk.section_volume_quadrature(4.0, d1, spec)
-        r2 = hk.section_volume_quadrature(4.0, d2, spec)
+        r1 = hk.section_volume_quadrature(4.0, d1, tol)
+        r2 = hk.section_volume_quadrature(4.0, d2, tol)
         assert r1.value == r2.value  # identical canonical input, deterministic engine
         # with an interior zero the canonical forms also coincide
         assert Direction([0.8, 0.6, 0.0]) == Direction([0.6, 0.0, 0.8])
-        ra = hk.section_volume_quadrature(4.0, Direction([0.8, 0.6, 0.0]), spec)
-        rb = hk.section_volume_quadrature(4.0, Direction([0.6, 0.0, 0.8]), spec)
+        ra = hk.section_volume_quadrature(4.0, Direction([0.8, 0.6, 0.0]), tol)
+        rb = hk.section_volume_quadrature(4.0, Direction([0.6, 0.0, 0.8]), tol)
         assert ra.value == rb.value
 
     def test_monotone_in_p_and_range(self):
         # fixed four-coordinate diagonal; values are nondecreasing in p and
         # stay within [1 - tol, 2 + tol] for p >= 2
-        spec = hk.QuadSpec(tol_abs=1e-6)
         ps = (2.5, 3.0, 4.0, 6.0, 9.0, 26.0, 140.0)
         vals = []
         for p in ps:
-            res = hk.section_volume_quadrature(p, Direction.diagonal(4), spec)
+            res = hk.section_volume_quadrature(p, Direction.diagonal(4), 1e-6)
             assert res.value > 0.0
             assert 1.0 - res.err_bound <= res.value <= 2.0 + res.err_bound
             vals.append(res.value)
@@ -273,22 +274,21 @@ class TestSectionVolume:
     def test_exact_at_p2(self):
         # at p = 2 every section has normalized volume exactly 1
         res = hk.section_volume_quadrature(2.0, Direction([0.9, 0.3, 0.2, 0.1, 0.1, 0.1]),
-                                           hk.QuadSpec(tol_abs=1e-8))
+                                           1e-8)
         assert res.value == pytest.approx(1.0, abs=1e-10)
         assert res.err_bound <= 1e-8
 
     def test_err_bound_within_tol(self):
-        spec = hk.QuadSpec(tol_abs=1e-5)
-        res = hk.section_volume_quadrature(4.0, Direction.diagonal(5), spec)
+        res = hk.section_volume_quadrature(4.0, Direction.diagonal(5), 1e-5)
         assert res.err_bound <= 1e-5
         assert res.engine == "quadrature"
         assert res.meta["s_max"] > 0
 
-    def test_nonconvergence_reported(self):
-        # a fixed cutoff far too small for the requested tolerance
-        spec = hk.QuadSpec(tol_abs=1e-6, s_max_policy=3.0)
-        with pytest.raises(hk.NonConvergenceError):
-            hk.section_volume_quadrature(9.0, Direction.diagonal(3), spec)
+    def test_nonconvergence_reported(self, monkeypatch):
+        # a cutoff far too small for the requested tolerance
+        monkeypatch.setattr(hk, "_auto_s_max", lambda *args: 3.0)
+        with pytest.raises(hk.NonConvergenceError, match="certified error"):
+            hk.section_volume_quadrature(9.0, Direction.diagonal(3), 1e-6)
 
     def test_collapsed_radial_cells(self):
         # at p = 1e20 the kernel quadrature has no radial cell left
@@ -297,13 +297,13 @@ class TestSectionVolume:
         with pytest.raises(hk.NonConvergenceError, match="p=1e\\+20"):
             hk.section_volume_quadrature(1e20, Direction.diagonal(3))
 
-    def test_panel_budget_exhaustion(self):
-        spec = hk.QuadSpec(tol_abs=1e-6, panel_budget=4)
-        with pytest.raises(hk.NonConvergenceError):
-            hk.section_volume_quadrature(4.0, Direction.diagonal(3), spec)
+    def test_panel_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(hk, "_PANEL_BUDGET", 4)
+        with pytest.raises(hk.NonConvergenceError, match="panel budget 4"):
+            hk.section_volume_quadrature(4.0, Direction.diagonal(3), 1e-6)
 
 
-def outer_adaptive_loop(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
+def outer_adaptive_loop(p, coeffs, mults, s_max, tol_quad, trunc_target):
     """The outer integration with per-panel Python bookkeeping: a list of
     (lo, hi) tuples as the queue and three accumulator lists.  Same waves
     and arithmetic as hankel._outer_adaptive, so the totals must match
@@ -316,7 +316,7 @@ def outer_adaptive_loop(p, coeffs, mults, s_max, spec, tol_quad, trunc_target):
     pending = list(zip(edges[:-1], edges[1:]))
     acc_vals, acc_est, acc_prop = [], [], []
     while pending:
-        assert len(acc_vals) + len(pending) <= spec.panel_budget
+        assert len(acc_vals) + len(pending) <= hk._PANEL_BUDGET
         wave, pending = pending[:hk._WAVE_LIMIT], pending[hk._WAVE_LIMIT:]
         lo = np.array([w[0] for w in wave])
         hi = np.array([w[1] for w in wave])
@@ -354,8 +354,8 @@ class TestOuterQueue:
         d = Direction(a)
         coeffs = np.array([g[0] for g in d.grouped()])
         mults = np.array([g[1] for g in d.grouped()])
-        spec, s_max = hk.QuadSpec(tol_abs=tol), 30.0
-        args = (p, coeffs, mults, s_max, spec, 1e-3 * tol, min(tol / 10.0, max(1e-13, tol * 1e-5)))
+        s_max = 30.0
+        args = (p, coeffs, mults, s_max, 1e-3 * tol, min(tol / 10.0, max(1e-13, tol * 1e-5)))
         got = hk._outer_adaptive(*args)
         assert got[3] > 6  # some panels were split
         assert got[:4] == outer_adaptive_loop(*args)
@@ -364,7 +364,7 @@ class TestOuterQueue:
 class TestCrossEngineLight:
     def test_quad_vs_mc_p4_diag3(self):
         from lpsections.montecarlo import McSpec, estimate_section_volume
-        q = hk.section_volume_quadrature(4.0, Direction.diagonal(3), hk.QuadSpec(tol_abs=1e-5))
+        q = hk.section_volume_quadrature(4.0, Direction.diagonal(3), 1e-5)
         m = estimate_section_volume(4.0, Direction.diagonal(3), McSpec(samples=400_000, seed=11))
         assert abs(q.value - m.value) <= 4.0 * m.err_bound + q.err_bound
 
@@ -419,15 +419,15 @@ class TestChebyshevKernelTable:
         assert np.array_equal(kv, dv) and np.array_equal(ke, de)
         # the bits of the direct-evaluation engine, within err_bound of the
         # exact A(1, diag 3) = 3/7
-        res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), hk.QuadSpec(tol_abs=1e-4))
+        res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), 1e-4)
         assert (res.value, res.err_bound) == (0.42857140908542257, 1.9352793245316283e-05)
         assert abs(res.value - 3.0 / 7.0) <= res.err_bound
         assert res.meta["kernel_nodes"] == 0
 
     def test_repeat_adds_no_nodes(self):
-        d, spec = Direction([1.0, 0.8, 0.6]), hk.QuadSpec(tol_abs=1e-6)
-        first = hk.section_volume_quadrature(6.125, d, spec)
-        again = hk.section_volume_quadrature(6.125, d, spec)
+        d = Direction([1.0, 0.8, 0.6])
+        first = hk.section_volume_quadrature(6.125, d, 1e-6)
+        again = hk.section_volume_quadrature(6.125, d, 1e-6)
         assert first.meta["kernel_nodes"] > 0 and again.meta["kernel_nodes"] == 0
         assert first.meta["kernel_interp_bound"] > 0.0
         assert (again.value, again.err_bound) == (first.value, first.err_bound)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lpsections import montecarlo as mc
-from lpsections.direction import Direction
-from lpsections.hankel import QuadSpec, section_volume_quadrature
-from lpsections.randkit import RngStream, radial_array
+from lpsections.direction import Direction, canonicalize
+from lpsections.hankel import section_volume_quadrature
+from lpsections.randkit import RngStream, radial_array, sphere3_array
 from lpsections.specfun import gamma
 
 INF = math.inf
@@ -19,6 +19,27 @@ def rb_oracle(u: float, v: float, order: int = 400) -> float:
     th = 0.5 * math.pi * (x + 1.0)
     f = np.sin(th) ** 2 / (u * u + v * v + 2.0 * u * v * np.cos(th))
     return float(2.0 / math.pi * 0.5 * math.pi * (w * f).sum())
+
+
+def plain_batch_means(p, a, spec):
+    """Batch means of the raw estimator Gamma(1+2/p) |sum_j a_j R_j xi_j|^(-2),
+    whose second moment diverges: the substreams, chunks and draw order
+    of mc.estimate_section_volume, with 1/|sum|^2 per draw in place of
+    the Rao-Blackwellized value."""
+    a = canonicalize(a).as_array()
+    n = a.size
+    means = []
+    for bi, count in enumerate(mc._batch_sizes(spec.samples, mc._BATCHES)):
+        gen = RngStream(spec.seed, 0).substream(bi).generator
+        chunk = max(1, min(count, (1 << 21) // (4 * n)))
+        vals = []
+        for done in range(0, count, chunk):
+            m = min(chunk, count - done)
+            b = a[None, :] * radial_array(p, (m, n), gen)
+            vec = np.einsum("ij,ijk->ik", b, sphere3_array((m, n), gen))
+            vals.append(1.0 / np.einsum("ik,ik->i", vec, vec))
+        means.append(float(np.concatenate(vals).mean()))
+    return np.array(means) * (1.0 if p == INF else gamma(1.0 + 2.0 / p))
 
 
 class TestRaoBlackwellKernel:
@@ -46,8 +67,6 @@ class TestMcSpec:
             mc.McSpec(samples=0)
         with pytest.raises(ValueError):
             mc.McSpec(samples=31)
-        with pytest.raises(ValueError):
-            mc.McSpec(strategy="fancy")
 
 
 class TestEstimator:
@@ -71,21 +90,21 @@ class TestEstimator:
         assert res.meta["degenerate"] is True
 
     def test_cross_engine_p4_diag3(self):
-        q = section_volume_quadrature(4.0, Direction.diagonal(3), QuadSpec(tol_abs=1e-5))
+        q = section_volume_quadrature(4.0, Direction.diagonal(3), 1e-5)
         m = mc.estimate_section_volume(4.0, Direction.diagonal(3),
                                        mc.McSpec(samples=10 ** 6, seed=3))
         assert abs(q.value - m.value) <= 3.0 * m.err_bound + q.err_bound
 
     def test_strategy_consistency_and_variance_reduction(self):
-        spec_rb = mc.McSpec(samples=10 ** 6, seed=3)
-        spec_pl = mc.McSpec(samples=10 ** 6, seed=3, strategy="plain")
-        r_rb = mc.estimate_section_volume(4.0, Direction.diagonal(3), spec_rb)
-        r_pl = mc.estimate_section_volume(4.0, Direction.diagonal(3), spec_pl)
-        combined = math.hypot(r_rb.err_bound, r_pl.err_bound)
-        assert abs(r_rb.value - r_pl.value) <= 4.0 * combined
+        spec = mc.McSpec(samples=10 ** 6, seed=3)
+        r_rb = mc.estimate_section_volume(4.0, Direction.diagonal(3), spec)
+        bm_pl = plain_batch_means(4.0, Direction.diagonal(3), spec)
+        # the median of batch means is robust against the plain estimator's heavy tail
+        se_pl = bm_pl.std(ddof=1) / math.sqrt(bm_pl.size)
+        combined = math.hypot(r_rb.err_bound, se_pl)
+        assert abs(r_rb.value - np.median(bm_pl)) <= 4.0 * combined
         v_rb = np.var(r_rb.meta["batch_values"], ddof=1)
-        v_pl = np.var(r_pl.meta["batch_values"], ddof=1)
-        assert v_rb < v_pl  # same seeds, strictly smaller spread
+        assert v_rb < np.var(bm_pl, ddof=1)  # same seeds, strictly smaller spread
 
     def test_reproducible_bit_for_bit(self):
         spec = mc.McSpec(samples=200_000, seed=9)
@@ -95,19 +114,12 @@ class TestEstimator:
 
     def test_per_draw_bounded_by_peak_term(self):
         a = Direction.diagonal(5).as_array()
-        vals = mc._draw_batch(3.0, a, RngStream(21, 0).generator, 10_000, "rao_blackwell")
+        vals = mc._draw_batch(3.0, a, RngStream(21, 0).generator, 10_000)
         # 10 000 draws fit one chunk, which draws its radial moduli first:
         # a twin generator reproduces them and so max_j a_j R_j per draw
         twin = RngStream(21, 0).generator
         vmax = (a[None, :] * radial_array(3.0, (10_000, a.size), twin)).max(axis=1)
         assert np.all(vals <= 1.0 / vmax ** 2 + 1e-12)
-
-    def test_mean_of_batch_means_vs_median_for_plain(self):
-        spec = mc.McSpec(samples=50_000, seed=4, strategy="plain")
-        res = mc.estimate_section_volume(INF, Direction.diagonal(4), spec)
-        assert res.value == pytest.approx(
-            float(np.median(res.meta["batch_values"])), abs=1e-15
-        )
 
 
 class TestCltExperiment:

@@ -6,12 +6,12 @@ import pytest
 from lpsections import optimize as op
 from lpsections.closedform import a2_closed_form
 from lpsections.direction import Direction, canonicalize
-from lpsections.hankel import QuadSpec, section_volume_quadrature
+from lpsections.hankel import section_volume_quadrature
 
 INF = math.inf
 
 
-def grid_search_simplex(p, n, resolution, quad=None):
+def grid_search_simplex(p, n, resolution, tol=1e-6):
     """Quadrature values over the squared-weight simplex grid for n in
     {2, 3}: the brute-force oracle for maximize_direction.  Canonically
     equivalent grid points are evaluated once."""
@@ -19,7 +19,6 @@ def grid_search_simplex(p, n, resolution, quad=None):
         raise ValueError("grid search supports n in {2, 3} only")
     if not 0.0 < resolution <= 0.5:
         raise ValueError("resolution must lie in (0, 0.5]")
-    quad = quad or QuadSpec(tol_abs=1e-6)
     k = int(round(1.0 / resolution))
     if n == 2:
         combos = [(i, k - i) for i in range(k + 1)]
@@ -31,7 +30,7 @@ def grid_search_simplex(p, n, resolution, quad=None):
         d = Direction(np.sqrt(np.array(combo, dtype=float) / k))
         if d not in seen:
             seen.add(d)
-            out.append((d, section_volume_quadrature(p, d, quad).value))
+            out.append((d, section_volume_quadrature(p, d, tol).value))
     return out
 
 
@@ -77,12 +76,11 @@ class TestDirection:
 
 class TestObjectiveInvariance:
     def test_permuted_zero_padded_values_agree(self):
-        spec = QuadSpec(tol_abs=1e-6)
         d1 = Direction([0.8, 0.6, 0.0])
         d2 = Direction([0.6, 0.0, 0.8])
         assert d1 == d2
-        v1 = section_volume_quadrature(5.0, d1, spec).value
-        v2 = section_volume_quadrature(5.0, d2, spec).value
+        v1 = section_volume_quadrature(5.0, d1, 1e-6).value
+        v2 = section_volume_quadrature(5.0, d2, 1e-6).value
         assert v1 == v2
 
 
@@ -108,16 +106,15 @@ class TestMaximizeDirection:
         assert values == sorted(values)
         anchor_a2 = section_volume_quadrature(INF, Direction.two_equal(4)).value
         anchor_diag = section_volume_quadrature(
-            INF, Direction.diagonal(4), QuadSpec(tol_abs=1e-4)).value
+            INF, Direction.diagonal(4), 1e-4).value
         assert rep.best_value.value >= max(anchor_a2, anchor_diag) - 1e-3
         # polydisc slicing: the two-equal direction is the global maximum
         assert rep.best_value.value == pytest.approx(2.0, abs=1e-6)
 
     def test_soundness_p25_n12(self):
         rep = op.maximize_direction(2.5, 12, budget=60, tol=1e-2, seed=5)
-        quad = QuadSpec(tol_abs=2.5e-3)
-        anchor_diag = section_volume_quadrature(2.5, Direction.diagonal(12), quad)
-        anchor_a2 = section_volume_quadrature(2.5, Direction.two_equal(12), quad)
+        anchor_diag = section_volume_quadrature(2.5, Direction.diagonal(12), 2.5e-3)
+        anchor_a2 = section_volume_quadrature(2.5, Direction.two_equal(12), 2.5e-3)
         floor = max(anchor_diag.value, anchor_a2.value)
         assert rep.best_value.value >= floor - 1e-2
         # below the crossing exponent the diagonal dominates at this size
@@ -126,8 +123,6 @@ class TestMaximizeDirection:
     def test_validation(self):
         with pytest.raises(ValueError):
             op.maximize_direction(4.0, 1)
-        with pytest.raises(ValueError):
-            op.maximize_direction(4.0, 3, engine="magic")
         with pytest.raises(ValueError, match="budget"):
             op.maximize_direction(4.0, 3, budget=4)
 
@@ -140,14 +135,13 @@ class TestGridSearch:
         assert best[1] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_n3_polydisc_argmax_two_equal(self):
-        pts = grid_search_simplex(INF, 3, 0.02, quad=QuadSpec(tol_abs=1e-5))
+        pts = grid_search_simplex(INF, 3, 0.02, tol=1e-5)
         best = max(pts, key=lambda t: t[1])
         assert best[0] == Direction([1.0, 1.0, 0.0])
         assert best[1] == 2.0
 
     def test_n3_p3_grid_vs_optimizer(self):
-        quad = QuadSpec(tol_abs=1e-4)
-        pts = grid_search_simplex(3.0, 3, 0.1, quad=quad)
+        pts = grid_search_simplex(3.0, 3, 0.1, tol=1e-4)
         grid_best = max(pts, key=lambda t: t[1])
         rep = op.maximize_direction(3.0, 3, budget=120, tol=1e-2, seed=2)
         assert rep.best_value.value >= grid_best[1] - 2e-2

@@ -222,6 +222,8 @@ def crossing_scan(p: float, n_max: int, tol: float = 1e-6) -> CrossingReport:
 # -- verification suites -----------------------------------------------------
 
 LEMMA1_BREAKPOINTS = (4.0, 7.0, 9.0, 13.78, 26.265, 140.0)
+# geometric grid points per inequality of the lemma1 and sufficient suites
+_LEMMA1_POINTS, _SUFFICIENT_POINTS = 48, 24
 
 
 def _grid(lo: float, hi: float, count: int) -> list[float]:
@@ -230,18 +232,18 @@ def _grid(lo: float, hi: float, count: int) -> list[float]:
     return sorted(pts)
 
 
-def verify_lemma1(count: int = 48) -> list[Ineq]:
+def verify_lemma1() -> list[Ineq]:
     """Gamma-ratio inequality rows on fixed grids: the f lower bound on
     [4, 1000], g monotonicity on [7, 1000], h > 1 on (2, 1000], the
     cubic bound on [9, 1000], and the two numeric caps on g."""
     rows = []
-    for p in _grid(4.0, 1000.0, count):
+    for p in _grid(4.0, 1000.0, _LEMMA1_POINTS):
         rows.append(lemma1_f(p))
-    for p in _grid(7.0, 1000.0, count):
+    for p in _grid(7.0, 1000.0, _LEMMA1_POINTS):
         rows.append(lemma1_g(p))
-    for p in _grid(2.05, 1000.0, count):
+    for p in _grid(2.05, 1000.0, _LEMMA1_POINTS):
         rows.append(lemma1_h(p))
-    for p in _grid(9.0, 1000.0, count):
+    for p in _grid(9.0, 1000.0, _LEMMA1_POINTS):
         rows.append(lemma1_h_cubic(p))
     rows.append(Ineq.check("lemma1b_g7_cap", 7.0, 1.0397, g_value(7.0)))
     rows.append(Ineq.check("lemma1b_g9_cap", 9.0, 1.0377, g_value(9.0)))
@@ -260,15 +262,15 @@ def verify_lipschitz(tol: float = 1e-4) -> list[Ineq]:
     return rows
 
 
-def verify_sufficient(count: int = 24) -> list[Ineq]:
+def verify_sufficient() -> list[Ineq]:
     """sufficient_G above 1 for n = ceil(5p/2) on p in [9, 500] and for
     n = ceil(p) on p in [140, 500], with the matching sufficient_F rows."""
     rows = []
-    for p in _grid(9.0, 500.0, count):
+    for p in _grid(9.0, 500.0, _SUFFICIENT_POINTS):
         n = math.ceil(2.5 * p)
         rows.append(sufficient_G(p, n))
         rows.append(sufficient_F(p, n))
-    for p in _grid(140.0, 500.0, max(8, count // 2)):
+    for p in _grid(140.0, 500.0, _SUFFICIENT_POINTS // 2):
         n = math.ceil(p)
         rows.append(sufficient_G(p, n))
         rows.append(sufficient_F(p, n))

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 an inequality/assertion suite failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,20 +37,23 @@ EXIT_NO_CONVERGENCE = 3
 KERNEL_MAX_ROWS = 10 ** 6
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_p(text: str) -> float:
     if text.strip().lower() == "inf":
         return math.inf
     try:
         p = float(text)
     except ValueError:
-        raise UsageError(f"cannot parse exponent {text!r}")
+        raise ValueError(f"cannot parse exponent {text!r}")
     if math.isinf(p) or not p >= 1.0:
-        raise UsageError("exponent must be a float >= 1 or the literal 'inf'")
+        raise ValueError("exponent must be a float >= 1 or the literal 'inf'")
     return p
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _parse_seed(text: str) -> int:
@@ -68,19 +72,19 @@ def _format_p(p: float) -> str:
 def _parse_direction(args) -> tuple[Direction, str]:
     picked = [x for x in (args.a, args.diag, args.a2) if x is not None]
     if len(picked) != 1:
-        raise UsageError("exactly one of --a, --diag, --a2 is required")
+        raise ValueError("exactly one of --a, --diag, --a2 is required")
     if args.diag is not None:
         if args.diag < 1:
-            raise UsageError("--diag needs n >= 1")
+            raise ValueError("--diag needs n >= 1")
         return Direction.diagonal(args.diag), f"diag:{args.diag}"
     if args.a2 is not None:
         if args.a2 < 2:
-            raise UsageError("--a2 needs n >= 2")
+            raise ValueError("--a2 needs n >= 2")
         return Direction.two_equal(args.a2), f"a2:{args.a2}"
     try:
         entries = [float(v) for v in args.a.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse --a {args.a!r}")
+        raise ValueError(f"cannot parse --a {args.a!r}")
     d = Direction(entries)
     return d, "custom:" + ";".join(repr(v) for v in d.entries)
 
@@ -111,7 +115,7 @@ def _emit(args, subcommand: str, rows: list[dict]) -> None:
             with open(args.output_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --output-path {args.output_path!r}: {exc.strerror or exc}")
+            raise ValueError(f"cannot write --output-path {args.output_path!r}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -122,7 +126,7 @@ def _cmd_volume(args) -> int:
     if args.engine == "closed":
         value = section_value(p, direction)
         if value is None:
-            raise UsageError("closed engine needs a direction with at most 2 nonzero entries")
+            raise ValueError("closed engine needs a direction with at most 2 nonzero entries")
         row = dict(engine="closed_form", value=value, err_bound=0.0, samples=None, seed=None)
     elif args.engine == "quad":
         res = section_volume_quadrature(p, direction, args.tol)
@@ -139,12 +143,8 @@ def _cmd_volume(args) -> int:
 
 def _cmd_kernel(args) -> int:
     p = _parse_p(args.p)
-    if not (0 < args.s_max < math.inf and 0 < args.step < math.inf):
-        raise UsageError("--s-max and --step must be finite and positive")
-    if not 0 < args.tol < math.inf:
-        raise UsageError("--tol must be finite and positive")
     if (args.s_max + 1e-12) / args.step >= KERNEL_MAX_ROWS:
-        raise UsageError(f"--s-max / --step must be below {KERNEL_MAX_ROWS} (one row per step)")
+        raise ValueError(f"--s-max / --step must be below {KERNEL_MAX_ROWS} (one row per step)")
     # s = k * step, not a running sum, so the grid does not drift
     grid = np.arange(int((args.s_max + 1e-12) / args.step) + 2) * args.step
     grid = grid[grid <= args.s_max + 1e-12]
@@ -195,7 +195,7 @@ def _cmd_clt(args) -> int:
     try:
         n_list = [int(v) for v in args.n_list.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse --n-list {args.n_list!r}")
+        raise ValueError(f"cannot parse --n-list {args.n_list!r}")
     rows_out = []
     for row in clt_experiment(p, n_list, McSpec(samples=args.samples, seed=args.seed)):
         rows_out.append(dict(p=_format_p(p), n=row.n, estimate=row.estimate,
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output-path", default=None)
         if tol is not None:
-            sp.add_argument("--tol", type=float, default=tol)
+            sp.add_argument("--tol", type=_positive_float, default=tol)
         if sampling:
             sp.add_argument("--seed", type=_parse_seed, default=0)
             sp.add_argument("--samples", type=int, default=10 ** 6)
@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     kernel_help = f"kernel table on an s grid (--s-max / --step below {KERNEL_MAX_ROWS})"
     sp = sub.add_parser("kernel", help=kernel_help, description=kernel_help)
     sp.add_argument("--p", required=True)
-    sp.add_argument("--s-max", type=float, required=True)
-    sp.add_argument("--step", type=float, required=True)
+    sp.add_argument("--s-max", type=_positive_float, required=True)
+    sp.add_argument("--step", type=_positive_float, required=True)
     common(sp, tol=1e-8)
     sp.set_defaults(fn=_cmd_kernel)
 
@@ -286,7 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _pin_allocator() -> None:
+    """Fix glibc's mmap (32 MiB) and trim (128 MiB) thresholds, once per
+    process.  Left dynamic they follow the allocation history, and the
+    kernel's temporaries are reused or faulted back in on every call
+    depending on what ran before.  A no-op without glibc's mallopt."""
+    import ctypes  # not at import, so start-up time stays the same
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+        mallopt(-1, 128 << 20)
+
+
 def main(argv=None) -> int:
+    _pin_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -294,9 +310,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -44,11 +44,11 @@ or that needs more than _PANEL_BUDGET outer panels, raises
 NonConvergenceError.
 
 Results depend only on the arguments.  The only shared state is a set of
-lazily filled caches (radial cells, truncation radii, envelope families
-and the per-p kernel tables); a table panel depends only on (p, kernel
-target, panel index), and a table grows by swapping in new
-arrays, so concurrent calls stay safe and cache state never shows in a
-result.
+lazily filled caches: the kernels (one per p and kernel target, each
+with its table), interpolation bounds, envelope families, Gauss-Legendre
+nodes and the Chebyshev basis.  A table panel depends only on (p, kernel
+target, panel index), and a table grows by swapping in new arrays, so
+concurrent calls stay safe and cache state never shows in a result.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def _j1_normalized(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=256)
 def _trunc_radius(p: float, target: float) -> tuple[float, float]:
     """Kernel cutoff r_max with a certified truncation bound <= target.
 
@@ -135,10 +134,10 @@ def _weight(r: np.ndarray, p: float) -> np.ndarray:
     return np.exp(-(r ** p)) * r
 
 
-_CHUNK_PANELS = 60000
+# radial panels per block of _kernel_finite_raw: its temporaries stay small
+_CHUNK_PANELS = 4096
 
 
-@functools.lru_cache(maxsize=256)
 def _weight_cells(p: float, r_max: float, levels: int):
     """Radial cells graded in u = r^p: dyadic below u = 1 (`levels`
     octaves), unit steps above, clipped at r_max.
@@ -165,11 +164,6 @@ def _weight_cells(p: float, r_max: float, levels: int):
     return float(edges[0]), edges[:-1].copy(), np.diff(edges)
 
 
-def _head_levels(trunc_target: float) -> int:
-    """Octaves of dyadic radial cells below u = r^p = 1 (see _weight_cells)."""
-    return int(min(48, max(20, math.ceil(-math.log2(trunc_target)))))
-
-
 def _head_cert(r_flat: float, levels: int) -> float:
     return 2.0 ** -levels * 0.5 * r_flat * r_flat
 
@@ -178,7 +172,7 @@ def _gamma_n(k, u: float):
     return k * u / (1.0 - k * u)
 
 
-def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, levels: int):
+def _kernel_finite_raw(p: float, x: np.ndarray, cells, levels: int):
     """Raw integral int_0^r_max J0(x r) exp(-r^p) r dr for an array of
     nonnegative x, plus an error estimate from the lower order (the
     reported value uses _GL_ORDER nodes; the comparison with
@@ -189,7 +183,7 @@ def _kernel_finite_raw(p: float, x: np.ndarray, r_max: float, levels: int):
     for the head's three products and its addition."""
     g1, w1 = _gl_nodes(_GL_ORDER_LOW)
     g2, w2 = _gl_nodes(_GL_ORDER)
-    r_flat, cell_lo, cell_w = _weight_cells(p, r_max, levels)
+    r_flat, cell_lo, cell_w = cells
 
     # closed-form head: int_0^r_flat J0(x r) r dr = r_flat^2/2 * j1n(x r_flat),
     # exact up to the certified weight deviation 2^-levels * r_flat^2 / 2
@@ -260,24 +254,20 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
         raise ValueError("kernel argument must be finite")
     if is_inf(p):
         return _j1_normalized(x), np.zeros_like(x)
-    r_max, cert = _trunc_radius(p, trunc_target)
-    levels = _head_levels(trunc_target)
-    pref = 2.0 / gamma(1.0 + 2.0 / p)
-    vals = np.empty_like(x)
-    errs = np.empty_like(x)
-    zero = x == 0.0
-    if np.any(zero):
-        vals[zero] = 1.0
-        errs[zero] = 0.0
-    if np.any(~zero):
-        raw, est, rounding = _kernel_finite_raw(p, x[~zero], r_max, levels)
-        vals[~zero] = pref * raw
-        errs[~zero] = pref * (est + rounding) + cert + _PREF_REL_ERR * np.abs(vals[~zero])
+    # k(0) = 1 exactly
+    vals = np.ones_like(x)
+    errs = np.zeros_like(x)
+    nz = x != 0.0
+    if np.any(nz):
+        k = _kernel(p, trunc_target)
+        raw, est, rounding = _kernel_finite_raw(p, x[nz], k.cells, k.levels)
+        vals[nz] = k.pref * raw
+        errs[nz] = k.pref * (est + rounding) + k.cert + _PREF_REL_ERR * np.abs(vals[nz])
     return vals, errs
 
 
 # ---------------------------------------------------------------------------
-# Per-p Chebyshev table of the kernel (the outer quadrature's evaluator)
+# The kernel per (p, target): its radial set-up and Chebyshev table
 # ---------------------------------------------------------------------------
 
 # Panel i covers [2i, 2i + 2] and carries the degree-24 interpolant of
@@ -389,9 +379,12 @@ def _clenshaw(coeffs: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-class _KernelTable:
-    """Piecewise Chebyshev table of k_p for one (p, trunc_target), filled
-    panel by panel on demand.
+class _Kernel:
+    """k_p for one (p, trunc_target): the truncation bound `cert`, the
+    radial `cells` and head `levels`, the prefactor `pref` = 2/Gamma(1+2/p)
+    and the x-uniform error `uniform` that kernel_values integrates with,
+    and a piecewise Chebyshev table filled panel by panel on demand.  At
+    p = inf (a closed form) it holds only the empty table.
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
@@ -403,12 +396,15 @@ class _KernelTable:
 
     def __init__(self, p: float, trunc_target: float):
         self.p, self.trunc_target = p, trunc_target
-        self.interp = _interp_bound(p)
-        r_max, cert = _trunc_radius(p, trunc_target)
-        levels = _head_levels(trunc_target)
-        r_flat = _weight_cells(p, r_max, levels)[0]
-        self.uniform = cert + 2.0 / gamma(1.0 + 2.0 / p) * _head_cert(r_flat, levels)
         self.state = (np.empty((_CHEB_DEGREE + 1, 0)), np.empty(0))
+        if is_inf(p):
+            return
+        r_max, self.cert = _trunc_radius(p, trunc_target)
+        # octaves of dyadic radial cells below u = r^p = 1 (see _weight_cells)
+        self.levels = int(min(48, max(20, math.ceil(-math.log2(trunc_target)))))
+        self.cells = _weight_cells(p, r_max, self.levels)
+        self.pref = 2.0 / gamma(1.0 + 2.0 / p)
+        self.uniform = self.cert + self.pref * _head_cert(self.cells[0], self.levels)
 
     def _panels(self, first: int, stop: int):
         """Coefficients, certified errors and the number of kernel_values
@@ -449,15 +445,19 @@ class _KernelTable:
         clenshaw = 2.0 * _gamma_n(3, _U) * (mag @ (1.0 + 1.5 * j * (j + 1.0)))
         abscissae = _U * (1.0 + _CHEB_LEBESGUE) * (2.0 + centres + half) * 2.0 * (mag @ (j * j))
         rounding = _U * mag.sum(axis=1) + transform + clenshaw + abscissae
-        err = self.uniform + _CHEB_LEBESGUE * node + self.interp + rounding
+        err = self.uniform + _CHEB_LEBESGUE * node + _interp_bound(self.p) + rounding
         err[~(err <= self.trunc_target)] = math.inf
         return coeffs.T, err, xs.size
 
     def lookup(self, x: np.ndarray):
         """(values, errors, nodes added, interpolation bound or 0.0 if no
-        value came from the table) for nonnegative finite x.  Points on
-        panels without a certified fit, or past the table's extent, come
-        from kernel_values directly."""
+        value came from the table) for nonnegative finite x.  p = inf (a
+        closed form) and p = 1 (no usable ellipse) go to kernel_values
+        directly, and so do points on panels without a certified fit or
+        past the table's extent."""
+        if is_inf(self.p) or not _interp_bound(self.p) <= self.trunc_target:
+            kv, ke = kernel_values(self.p, x, trunc_target=self.trunc_target)
+            return kv, ke, 0, 0.0
         idx = np.minimum(x * (1.0 / _CHEB_WIDTH), _TABLE_MAX_PANELS - 1).astype(np.intp)
         coeffs, errs = self.state
         need = int(idx.max()) + 1
@@ -474,26 +474,13 @@ class _KernelTable:
         direct = np.isinf(err)
         if np.any(direct):
             vals[direct], err[direct] = kernel_values(self.p, x[direct], trunc_target=self.trunc_target)
-        interp = 0.0 if np.all(direct) else self.interp
+        interp = 0.0 if np.all(direct) else _interp_bound(self.p)
         return vals, err, sum(count for _, _, count in parts), interp
 
 
 @functools.lru_cache(maxsize=64)
-def _kernel_table(p: float, trunc_target: float) -> _KernelTable:
-    return _KernelTable(p, trunc_target)
-
-
-def _kernel_lookup(p, x, trunc_target):
-    """Kernel values for the outer quadrature: (values, errors, table
-    nodes added, interpolation bound of the table values or 0.0).
-
-    Finite p uses the per-p table when its interpolation bound is within
-    trunc_target; p = inf (a closed form) and p = 1 (no usable ellipse)
-    call kernel_values directly."""
-    if is_inf(p) or not _interp_bound(p) <= trunc_target:
-        kv, ke = kernel_values(p, x, trunc_target=trunc_target)
-        return kv, ke, 0, 0.0
-    return _kernel_table(p, trunc_target).lookup(x)
+def _kernel(p: float, trunc_target: float) -> _Kernel:
+    return _Kernel(p, trunc_target)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +584,7 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
     evals = nodes = 0
     interp_bound = 0.0
     min_width = s_max * 1e-12
+    kernel = _kernel(p, trunc_target)
 
     while queue_lo.size:
         if n_accepted + queue_lo.size > _PANEL_BUDGET:
@@ -611,7 +599,7 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
         n_pan = lo.size
         s_all = np.concatenate([(mid[:, None] + half[:, None] * g[None, :]).ravel() for g in (g1, g2)])
         x_all = (coeffs[:, None] * s_all[None, :]).ravel()
-        kv, ke, added, interp = _kernel_lookup(p, x_all, trunc_target)
+        kv, ke, added, interp = kernel.lookup(x_all)
         evals += x_all.size
         nodes += added
         interp_bound = max(interp_bound, interp)
@@ -646,10 +634,12 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
 
 
 def _auto_s_max(p, a, prefactor, tol_abs):
+    """(s_max, prefactor * tail_bound_outer at s_max <= tol_abs / 2)."""
     s = 4.0
     for _ in range(260):
-        if prefactor * tail_bound_outer(p, a, s) <= 0.5 * tol_abs:
-            return s
+        tail = prefactor * tail_bound_outer(p, a, s)
+        if tail <= 0.5 * tol_abs:
+            return s, tail
         s *= 1.3
     raise NonConvergenceError("outer tail bound cannot reach tol_abs/2")
 
@@ -673,8 +663,7 @@ def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResul
         return VolumeResult(closed, 0.0, "closed_form")
 
     prefactor = 0.5 if is_inf(p) else 0.5 * gamma(1.0 + 2.0 / p)
-    s_max = _auto_s_max(p, a, prefactor, tol_abs)
-    tail = prefactor * tail_bound_outer(p, a, s_max)
+    s_max, tail = _auto_s_max(p, a, prefactor, tol_abs)
 
     groups = a.grouped()
     coeffs = np.array([g[0] for g in groups])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,9 +93,7 @@ def _batch_sizes(samples: int, batches: int) -> list[int]:
     return [base + (1 if b < extra else 0) for b in range(batches)]
 
 
-def estimate_section_volume(
-    p: float, a, spec: Optional[McSpec] = None, stream_domain: int = 0
-) -> VolumeResult:
+def estimate_section_volume(p: float, a, spec: McSpec, stream_domain: int = 0) -> VolumeResult:
     """Monte Carlo estimate of the normalized section volume.
 
     The value is the mean of the batch means and err_bound its standard
@@ -104,7 +102,6 @@ def estimate_section_volume(
     """
     p = validate_exponent(p)
     a = canonicalize(a)
-    spec = spec or McSpec()
     if a.nonzero_count < 2:
         return VolumeResult(1.0, 0.0, "closed_form", {"degenerate": True})
     g2 = 1.0 if is_inf(p) else gamma(1.0 + 2.0 / p)
@@ -134,7 +131,7 @@ class CltRow:
     c_p_target: float
 
 
-def clt_experiment(p: float, n_list: Sequence[int], spec: Optional[McSpec] = None) -> list[CltRow]:
+def clt_experiment(p: float, n_list: Sequence[int], spec: McSpec) -> list[CltRow]:
     """Second negative moment of the scaled radial-sphere sum across
     dimensions, against its Gaussian-limit target
     c_p = 2 Gamma(1+2/p) / Gamma(1+4/p).
@@ -145,7 +142,6 @@ def clt_experiment(p: float, n_list: Sequence[int], spec: Optional[McSpec] = Non
     deterministic and the target is 2.
     """
     p = validate_exponent(p)
-    spec = spec or McSpec()
     g2 = 1.0 if is_inf(p) else gamma(1.0 + 2.0 / p)
     target = 2.0 if is_inf(p) else 2.0 * g2 / gamma(1.0 + 4.0 / p)
     rows = []

@@ -165,6 +165,8 @@ def maximize_direction(
     Carlo) or the run is flagged unconverged.
     """
     p = validate_exponent(p)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if n < 2:
         raise ValueError("need n >= 2")
     if budget < n + 2:
@@ -182,14 +184,12 @@ def maximize_direction(
     trace = []
     best_y = None
     best_val = -math.inf
-    any_converged = False
     best_from_converged = False
     total_iters = 0
     for y0 in starts:
         y0 = np.asarray(y0, dtype=float) / np.linalg.norm(y0)
         y, val, used, conv = _nelder_mead(obj, y0, share, tol)
         total_iters += used
-        any_converged = any_converged or conv
         if val > best_val:
             best_val = val
             best_y = y

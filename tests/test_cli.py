@@ -133,6 +133,14 @@ class TestKernelTable:
             assert run_cli(argv, capsys) == (2, "")
         argv = ["kernel", "--p", "inf", "--s-max", "1", "--step", "0.5", "--tol", "1e-20"]
         assert run_cli(argv, capsys)[0] == 0
+        # every --tol keeps the rule, also where no quadrature reads it
+        mc = ["--engine", "mc", "--samples", "1000"]
+        for argv in (["volume", "--p", "4", "--diag", "3", *mc, "--tol", "nan"],
+                     ["volume", "--p", "4", "--a2", "3", "--engine", "closed", "--tol", "-1"],
+                     ["verify", "--suite", "lemma1", "--tol", "nan"],
+                     ["optimize", "--p", "4", "--n", "2", *mc, "--budget", "8", "--tol", "nan"],
+                     ["optimize", "--p", "4", "--n", "2", *mc, "--budget", "8", "--tol", "-1"]):
+            assert run_cli(argv, capsys) == (2, "")
 
     def test_small_s_within_bound_of_series(self, capsys):
         # the truncation bound is tight near s = 0, so err_bound must also
@@ -268,8 +276,8 @@ class TestBadInput:
         (["clt", "--p", "4", "--n-list", "2", "--samples", "1000", "--seed", "-1"], "--seed"),
         (["optimize", "--p", "4", "--n", "2", *MC, "--budget", "8", "--seed", str(2 ** 64)], "--seed"),
         # an infinite tolerance failed deep inside the engine
-        (["volume", "--p", "4", "--diag", "3", "--engine", "quad", "--tol", "inf"], "tol_abs"),
-        (["crossing", "--p", "4", "--n-max", "3", "--tol", "inf"], "tol_abs"),
+        (["volume", "--p", "4", "--diag", "3", "--engine", "quad", "--tol", "inf"], "--tol"),
+        (["crossing", "--p", "4", "--n-max", "3", "--tol", "inf"], "--tol"),
     ]
 
     @pytest.mark.parametrize("argv,named", CASES, ids=[f"{c[0]}#{i}" for i, (c, _) in enumerate(CASES)])

@@ -96,6 +96,18 @@ class TestKernel:
             vals, errs = hk.kernel_values(p, s)
             assert np.all(np.abs(vals) <= 1.0 + errs + 1e-15)
 
+    @pytest.mark.parametrize("p", [1.5, 4.0, 140.0])
+    def test_chunking_keeps_bits(self, p, monkeypatch):
+        # every argument's panel sums form inside one chunk, so the chunk
+        # size cannot change a bit
+        x = np.linspace(0.0, 120.0, 241)
+        runs = []
+        for chunk in (1, 4096, 60000):
+            monkeypatch.setattr(hk, "_CHUNK_PANELS", chunk)
+            runs.append(hk.kernel_values(p, x))
+        for vals, errs in runs[1:]:
+            assert np.array_equal(vals, runs[0][0]) and np.array_equal(errs, runs[0][1])
+
     def test_invariant_value_within_one_plus_err(self):
         value, err = kernel_at(9.0, 0.3)
         assert abs(value) <= 1.0 + err
@@ -120,7 +132,7 @@ class TestExactOracles:
 
     @pytest.mark.parametrize("trunc_target", [1e-13, 1e-11, 1e-9])
     def test_p2_table_kernel(self, trunc_target):
-        table = hk._KernelTable(2.0, trunc_target)
+        table = hk._Kernel(2.0, trunc_target)
         vals, errs, _, _ = table.lookup(self.X)
         assert np.all(np.isfinite(table.state[1]))
         assert np.all(np.abs(vals - np.exp(-0.25 * self.X ** 2)) <= errs)
@@ -286,12 +298,16 @@ class TestSectionVolume:
 
     def test_nonconvergence_reported(self, monkeypatch):
         # a cutoff far too small for the requested tolerance
-        monkeypatch.setattr(hk, "_auto_s_max", lambda *args: 3.0)
+        monkeypatch.setattr(hk, "_auto_s_max",
+                            lambda p, a, pref, tol: (3.0, pref * hk.tail_bound_outer(p, a, 3.0)))
         with pytest.raises(hk.NonConvergenceError, match="certified error"):
             hk.section_volume_quadrature(9.0, Direction.diagonal(3), 1e-6)
 
     def test_collapsed_radial_cells(self):
-        # at p = 1e20 the kernel quadrature has no radial cell left
+        # at p = 1e20 the kernel quadrature has no radial cell left, but
+        # k(0) = 1 needs none
+        vals, errs = hk.kernel_values(1e20, np.array([0.0]))
+        assert (float(vals[0]), float(errs[0])) == (1.0, 0.0)
         with pytest.raises(hk.NonConvergenceError, match="p=1e\\+20"):
             hk.kernel_values(1e20, np.array([0.5]))
         with pytest.raises(hk.NonConvergenceError, match="p=1e\\+20"):
@@ -322,7 +338,7 @@ def outer_adaptive_loop(p, coeffs, mults, s_max, tol_quad, trunc_target):
         hi = np.array([w[1] for w in wave])
         mid, half, n_pan = 0.5 * (lo + hi), 0.5 * (hi - lo), len(wave)
         s_all = np.concatenate([(mid[:, None] + half[:, None] * g[None, :]).ravel() for g in (g1, g2)])
-        kv, ke, _, _ = hk._kernel_lookup(p, (coeffs[:, None] * s_all[None, :]).ravel(), trunc_target)
+        kv, ke, _, _ = hk._kernel(p, trunc_target).lookup((coeffs[:, None] * s_all[None, :]).ravel())
         kv, ke = kv.reshape(coeffs.size, -1), ke.reshape(coeffs.size, -1)
         bounds = np.maximum(np.minimum(1.0, np.abs(kv) + ke), 1e-300)
         prod_bound = np.prod(bounds ** mults[:, None], axis=0)
@@ -388,7 +404,7 @@ class TestChebyshevKernelTable:
     @pytest.mark.parametrize("p", TABLE_PS)
     def test_within_direct_bounds(self, p, trunc_target):
         x = np.linspace(0.0, 60.0, 400)
-        table = hk._KernelTable(p, trunc_target)
+        table = hk._Kernel(p, trunc_target)
         tv, te, added, interp = table.lookup(x)
         # every panel is certified within the target, so no value fell back
         assert added > 0 and 0.0 < interp and np.all(table.state[1] <= trunc_target)
@@ -398,22 +414,22 @@ class TestChebyshevKernelTable:
     @pytest.mark.parametrize("p", [3.0, 9.0])
     def test_against_mpmath(self, p):
         x = np.array([0.0, 0.3, 1.0, 1.9, 2.0, 3.7, 6.1, 9.5, 14.2, 19.9])
-        tv, te, _, _ = hk._KernelTable(p, 1e-13).lookup(x)
+        tv, te, _, _ = hk._Kernel(p, 1e-13).lookup(x)
         for xi, v, e in zip(x, tv, te):
             assert abs(v - mpmath_kernel(p, float(xi))) <= e
 
     def test_build_order_independent(self):
-        stepwise = hk._KernelTable(40.0, 1e-12)
+        stepwise = hk._Kernel(40.0, 1e-12)
         stepwise.lookup(np.array([100.0]))
         stepwise.lookup(np.array([200.0]))
-        at_once = hk._KernelTable(40.0, 1e-12)
+        at_once = hk._Kernel(40.0, 1e-12)
         at_once.lookup(np.array([200.0]))
         for a, b in zip(stepwise.state, at_once.state):
             assert np.array_equal(a, b)
 
     def test_p1_takes_the_direct_path(self):
         x = np.linspace(0.1, 30.0, 50)
-        kv, ke, added, interp = hk._kernel_lookup(1.0, x, 1e-12)
+        kv, ke, added, interp = hk._kernel(1.0, 1e-12).lookup(x)
         dv, de = hk.kernel_values(1.0, x, trunc_target=1e-12)
         assert (added, interp) == (0, 0.0)
         assert np.array_equal(kv, dv) and np.array_equal(ke, de)
@@ -440,7 +456,7 @@ class TestChebyshevKernelTable:
         import threading
 
         xs = [np.linspace(0.0, 10.0 * (i + 1), 97) for i in range(6)]
-        shared = hk._KernelTable(40.0, 1e-11)
+        shared = hk._Kernel(40.0, 1e-11)
         got = [None] * len(xs)
 
         def work(i):
@@ -458,5 +474,5 @@ class TestChebyshevKernelTable:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         for x, (v, e) in zip(xs, got):
-            sv, se, _, _ = hk._KernelTable(40.0, 1e-11).lookup(x)
+            sv, se, _, _ = hk._Kernel(40.0, 1e-11).lookup(x)
             assert np.array_equal(v, sv) and np.array_equal(e, se)

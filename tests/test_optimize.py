@@ -7,6 +7,7 @@ from lpsections import optimize as op
 from lpsections.closedform import a2_closed_form
 from lpsections.direction import Direction, canonicalize
 from lpsections.hankel import section_volume_quadrature
+from lpsections.montecarlo import McSpec
 
 INF = math.inf
 
@@ -125,6 +126,9 @@ class TestMaximizeDirection:
             op.maximize_direction(4.0, 1)
         with pytest.raises(ValueError, match="budget"):
             op.maximize_direction(4.0, 3, budget=4)
+        # the Monte Carlo path never reaches the quadrature's tol_abs check
+        with pytest.raises(ValueError, match="tol"):
+            op.maximize_direction(4.0, 2, budget=8, tol=math.nan, mc=McSpec(1000, 0))
 
 
 class TestGridSearch:

@@ -13,8 +13,11 @@ checkouts is a diff of two runs:
 The list covers every engine and subcommand: quadrature volumes from
 p = 1 to inf, Monte Carlo and closed forms, the usage (2) and
 non-convergence (3) exits, a kernel grid whose step is not dyadic, a
-crossing scan, the Lipschitz suite and both optimizer engines.  It runs
-in under a minute on two cores.  Standard library only.
+crossing scan, the Lipschitz suite, and the optimizer on n = 2 (closed
+forms only) and n = 3 (quadrature).  The `optimize --engine mc` lines
+exit 2 since the optimizer became quadrature-only; they stay so that a
+diff against an older tree shows that change.  It runs in under a minute
+on two cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ LINES = [
     "verify --suite lipschitz",
     "clt --p 4 --n-list 2,8 --samples 20000 --seed 3",
     "optimize --p 4 --n 2 --engine quad --budget 20",
+    "optimize --p 4 --n 3 --engine quad --budget 15 --seed 1",
     "optimize --p 4 --n 3 --engine mc --budget 15 --samples 20000 --seed 1",
 ]
 

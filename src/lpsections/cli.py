@@ -206,11 +206,9 @@ def _cmd_clt(args) -> int:
 
 def _cmd_optimize(args) -> int:
     p = _parse_p(args.p)
-    mc = McSpec(samples=args.samples, seed=args.seed) if args.engine == "mc" else None
-    report = maximize_direction(p, args.n, budget=args.budget, tol=args.tol,
-                                seed=args.seed, mc=mc)
+    report = maximize_direction(p, args.n, budget=args.budget, tol=args.tol, seed=args.seed)
     rows = []
-    base = dict(p=_format_p(p), n=args.n, engine=report.meta["engine"], converged=report.converged)
+    base = dict(p=_format_p(p), n=args.n, engine="quadrature", converged=report.converged)
     for it, val in report.trace:
         rows.append(dict(base, record="trace", iteration=it, value=val,
                          err_bound=None, coords=None))
@@ -278,9 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="maximize the volume over directions")
     sp.add_argument("--p", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--engine", choices=("quad", "mc"), required=True)
+    # the optimizer runs on quadrature only; the flag stays because callers pass it
+    sp.add_argument("--engine", choices=("quad",), required=True)
     sp.add_argument("--budget", type=int, default=240)
-    common(sp, tol=1e-2, sampling=True)
+    sp.add_argument("--seed", type=_parse_seed, default=0, help="seeds the random starts")
+    common(sp, tol=1e-2)
     sp.set_defaults(fn=_cmd_optimize)
 
     return top

@@ -640,8 +640,11 @@ def _auto_s_max(p, a, prefactor, tol_abs):
         tail = prefactor * tail_bound_outer(p, a, s)
         if tail <= 0.5 * tol_abs:
             return s, tail
-        s *= 1.3
-    raise NonConvergenceError("outer tail bound cannot reach tol_abs/2")
+        s_tried, s = s, s * 1.3
+    raise NonConvergenceError(
+        f"outer tail bound cannot reach tol_abs/2 = {0.5 * tol_abs:.3e}: "
+        f"tail {tail:.3e} at s_max {s_tried:.6g}, the last tried"
+    )
 
 
 def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResult:
@@ -692,6 +695,9 @@ def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResul
     }
     if err > tol_abs:
         raise NonConvergenceError(
-            f"certified error {err:.3e} exceeds tol_abs {tol_abs:.3e} (meta: {meta})"
+            f"certified error {err:.3e} exceeds tol_abs {tol_abs:.3e} at s_max {s_max:.6g}: "
+            f"tail {tail:.3e}, quadrature {meta['quadrature_estimate']:.3e}, "
+            f"propagated kernel error {meta['kernel_error_propagated']:.3e}, "
+            f"prefactor {pref_err:.3e}"
         )
     return VolumeResult(value, err, "quadrature", meta)

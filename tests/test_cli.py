@@ -92,6 +92,7 @@ class TestVolume:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert "outer tail bound cannot reach tol_abs/2" in captured.err
+        assert "the last tried" in captured.err
 
 
 class TestKernelTable:
@@ -135,11 +136,12 @@ class TestKernelTable:
         assert run_cli(argv, capsys)[0] == 0
         # every --tol keeps the rule, also where no quadrature reads it
         mc = ["--engine", "mc", "--samples", "1000"]
+        quad = ["--engine", "quad"]
         for argv in (["volume", "--p", "4", "--diag", "3", *mc, "--tol", "nan"],
                      ["volume", "--p", "4", "--a2", "3", "--engine", "closed", "--tol", "-1"],
                      ["verify", "--suite", "lemma1", "--tol", "nan"],
-                     ["optimize", "--p", "4", "--n", "2", *mc, "--budget", "8", "--tol", "nan"],
-                     ["optimize", "--p", "4", "--n", "2", *mc, "--budget", "8", "--tol", "-1"]):
+                     ["optimize", "--p", "4", "--n", "2", *quad, "--budget", "8", "--tol", "nan"],
+                     ["optimize", "--p", "4", "--n", "2", *quad, "--budget", "8", "--tol", "-1"]):
             assert run_cli(argv, capsys) == (2, "")
 
     def test_small_s_within_bound_of_series(self, capsys):
@@ -254,8 +256,8 @@ class TestFlags:
                    ["--tol", "1e-3"], ["--seed", "--samples"]),
         "clt": (["clt", "--p", "inf", "--n-list", "2"],
                 ["--seed", "3", "--samples", "1000"], ["--tol"]),
-        "optimize": (["optimize", "--p", "4", "--n", "2", "--engine", "mc", "--budget", "8"],
-                     ["--tol", "0.1", "--seed", "1", "--samples", "1000"], []),
+        "optimize": (["optimize", "--p", "4", "--n", "2", "--engine", "quad", "--budget", "8"],
+                     ["--tol", "0.1", "--seed", "1"], ["--samples"]),
     }
 
     @pytest.mark.parametrize("subcommand", list(CASES))
@@ -274,10 +276,13 @@ class TestBadInput:
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", "-1"], "--seed"),
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", str(2 ** 64)], "--seed"),
         (["clt", "--p", "4", "--n-list", "2", "--samples", "1000", "--seed", "-1"], "--seed"),
-        (["optimize", "--p", "4", "--n", "2", *MC, "--budget", "8", "--seed", str(2 ** 64)], "--seed"),
+        (["optimize", "--p", "4", "--n", "2", "--engine", "quad", "--budget", "8", "--seed", str(2 ** 64)],
+         "--seed"),
         # an infinite tolerance failed deep inside the engine
         (["volume", "--p", "4", "--diag", "3", "--engine", "quad", "--tol", "inf"], "--tol"),
         (["crossing", "--p", "4", "--n-max", "3", "--tol", "inf"], "--tol"),
+        # the optimizer runs on quadrature only
+        (["optimize", "--p", "4", "--n", "3", "--engine", "mc", "--budget", "15"], "--engine"),
     ]
 
     @pytest.mark.parametrize("argv,named", CASES, ids=[f"{c[0]}#{i}" for i, (c, _) in enumerate(CASES)])

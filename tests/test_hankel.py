@@ -300,8 +300,13 @@ class TestSectionVolume:
         # a cutoff far too small for the requested tolerance
         monkeypatch.setattr(hk, "_auto_s_max",
                             lambda p, a, pref, tol: (3.0, pref * hk.tail_bound_outer(p, a, 3.0)))
-        with pytest.raises(hk.NonConvergenceError, match="certified error"):
+        with pytest.raises(hk.NonConvergenceError, match="certified error") as info:
             hk.section_volume_quadrature(9.0, Direction.diagonal(3), 1e-6)
+        # the message names the cutoff and the error split, not the meta dict
+        msg = str(info.value)
+        assert "at s_max 3:" in msg and "{" not in msg
+        for part in ("tail", "quadrature", "propagated kernel error", "prefactor"):
+            assert f"{part} " in msg
 
     def test_collapsed_radial_cells(self):
         # at p = 1e20 the kernel quadrature has no radial cell left, but

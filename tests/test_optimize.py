@@ -7,7 +7,6 @@ from lpsections import optimize as op
 from lpsections.closedform import a2_closed_form
 from lpsections.direction import Direction, canonicalize
 from lpsections.hankel import section_volume_quadrature
-from lpsections.montecarlo import McSpec
 
 INF = math.inf
 
@@ -126,9 +125,8 @@ class TestMaximizeDirection:
             op.maximize_direction(4.0, 1)
         with pytest.raises(ValueError, match="budget"):
             op.maximize_direction(4.0, 3, budget=4)
-        # the Monte Carlo path never reaches the quadrature's tol_abs check
         with pytest.raises(ValueError, match="tol"):
-            op.maximize_direction(4.0, 2, budget=8, tol=math.nan, mc=McSpec(1000, 0))
+            op.maximize_direction(4.0, 2, budget=8, tol=math.nan)
 
 
 class TestGridSearch:
@@ -149,6 +147,8 @@ class TestGridSearch:
         grid_best = max(pts, key=lambda t: t[1])
         rep = op.maximize_direction(3.0, 3, budget=120, tol=1e-2, seed=2)
         assert rep.best_value.value >= grid_best[1] - 2e-2
+        # a quadrature best, certified to the objective's tol/4
+        assert rep.best.nonzero_count == 3 and rep.best_value.err_bound <= 1e-2 / 4
         # record where the coarse grid puts the maximum: interior at p = 3
         assert grid_best[0].nonzero_count == 3
 

@@ -14,10 +14,8 @@ The list covers every engine and subcommand: quadrature volumes from
 p = 1 to inf, Monte Carlo and closed forms, the usage (2) and
 non-convergence (3) exits, a kernel grid whose step is not dyadic, a
 crossing scan, the Lipschitz suite, and the optimizer on n = 2 (closed
-forms only) and n = 3 (quadrature).  The `optimize --engine mc` lines
-exit 2 since the optimizer became quadrature-only; they stay so that a
-diff against an older tree shows that change.  It runs in under a minute
-on two cores.  Standard library only.
+forms only) and n = 3 (quadrature).  It runs in under a minute on two
+cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ LINES = [
     "kernel --p inf --s-max 1e17 --step 1",
     "kernel --p 4 --s-max 2 --step 0.5 --tol nan",
     "verify --suite lemma1 --tol nan",
-    "optimize --p 4 --n 2 --engine mc --budget 8 --samples 1000 --tol nan",
-    "optimize --p 4 --n 2 --engine mc --budget 8 --samples 1000 --tol -1",
+    "optimize --p 4 --n 2 --engine quad --budget 8 --tol nan",
+    "optimize --p 4 --n 2 --engine quad --budget 8 --tol -1",
     "optimize --p 4 --n 2 --engine quad --budget 0",
     # non-convergence (exit 3)
     "volume --p 1e20 --diag 3 --engine quad",
@@ -66,7 +64,6 @@ LINES = [
     "clt --p 4 --n-list 2,8 --samples 20000 --seed 3",
     "optimize --p 4 --n 2 --engine quad --budget 20",
     "optimize --p 4 --n 3 --engine quad --budget 15 --seed 1",
-    "optimize --p 4 --n 3 --engine mc --budget 15 --samples 20000 --seed 1",
 ]
 
 

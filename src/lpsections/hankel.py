@@ -43,12 +43,12 @@ The one setting is tol_abs.  A call whose certified bound misses it,
 or that needs more than _PANEL_BUDGET outer panels, raises
 NonConvergenceError.
 
-Results depend only on the arguments.  The only shared state is a set of
+Results depend only on the arguments.  The only shared state is two
 lazily filled caches: the kernels (one per p and kernel target, each
-with its table), interpolation bounds, envelope families, Gauss-Legendre
-nodes and the Chebyshev basis.  A table panel depends only on (p, kernel
-target, panel index), and a table grows by swapping in new arrays, so
-concurrent calls stay safe and cache state never shows in a result.
+with its interpolation bound and table) and the Gauss-Legendre nodes.
+A table panel depends only on (p, kernel target, panel index), and a
+table grows by swapping in new arrays, so concurrent calls stay safe and
+cache state never shows in a result.
 """
 
 from __future__ import annotations
@@ -164,47 +164,44 @@ def _weight_cells(p: float, r_max: float, levels: int):
     return float(edges[0]), edges[:-1].copy(), np.diff(edges)
 
 
-def _head_cert(r_flat: float, levels: int) -> float:
-    return 2.0 ** -levels * 0.5 * r_flat * r_flat
-
-
 def _gamma_n(k, u: float):
     return k * u / (1.0 - k * u)
 
 
-def _kernel_finite_raw(p: float, x: np.ndarray, cells, levels: int):
-    """Raw integral int_0^r_max J0(x r) exp(-r^p) r dr for an array of
-    nonnegative x, plus an error estimate from the lower order (the
-    reported value uses _GL_ORDER nodes; the comparison with
-    _GL_ORDER_LOW nodes overestimates its error) and a bound on the
-    rounding of the sums: gamma_(k+14) times the sum of the terms'
-    magnitudes for k panels per x (two products per node, the node sum
-    and the panel sum, in any order), plus gamma_4 times |head| + |raw|
+def _kernel_finite_raw(kernel, x: np.ndarray):
+    """Raw integral int_0^r_max J0(x r) exp(-r^p) r dr at the kernel
+    object's p and cells for an array of nonnegative x, plus an error
+    estimate (the reported value uses _GL_ORDER nodes; the comparison with
+    _GL_ORDER_LOW nodes overestimates its error) plus head_cert, and a
+    bound on the rounding of the sums: gamma_(k+14) times the sum of the
+    terms' magnitudes for k panels per x (two products per node, the node
+    sum and the panel sum, in any order), plus gamma_4 times |head| + |raw|
     for the head's three products and its addition."""
     g1, w1 = _gl_nodes(_GL_ORDER_LOW)
     g2, w2 = _gl_nodes(_GL_ORDER)
-    r_flat, cell_lo, cell_w = cells
+    r_flat, cell_lo, cell_w = kernel.cells
 
     # closed-form head: int_0^r_flat J0(x r) r dr = r_flat^2/2 * j1n(x r_flat),
-    # exact up to the certified weight deviation 2^-levels * r_flat^2 / 2
+    # exact up to the certified weight deviation kernel.head_cert
     head = 0.5 * r_flat * r_flat * _j1_normalized(x * r_flat)
-    head_cert = _head_cert(r_flat, levels)
 
     vals = np.empty_like(x)
     ests = np.empty_like(x)
     mags = np.empty_like(x)
-    # subpanels per (x, cell): quarter-period width, so the lower-order
-    # comparison rule is already sharp
-    counts = np.ceil(np.outer(x, cell_w) / (0.5 * math.pi)).astype(np.int64)
-    np.maximum(counts, 1, out=counts)
-    per_x = counts.sum(axis=1)
-    csum = np.cumsum(per_x)
+    per_x = np.empty(x.size, dtype=np.int64)
+    # blocks cut by an upper bound on each argument's subpanels (ceil(y) <=
+    # y + 1 per cell), so the counts never form for all arguments at once
+    csum = np.cumsum(x * (cell_w.sum() / (0.5 * math.pi)) + cell_w.size)
     start = 0
     while start < x.size:
-        base = csum[start] - per_x[start]
+        base = csum[start - 1] if start else 0.0
         stop = int(np.searchsorted(csum, base + _CHUNK_PANELS)) + 1
         stop = min(max(stop, start + 1), x.size)
-        C = counts[start:stop]
+        # subpanels per (x, cell): quarter-period width, so the lower-order
+        # comparison rule is already sharp
+        C = np.ceil(np.outer(x[start:stop], cell_w) / (0.5 * math.pi)).astype(np.int64)
+        np.maximum(C, 1, out=C)
+        per_x[start:stop] = C.sum(axis=1)
         nx, ncells = C.shape
         cflat = C.ravel()
         total = int(cflat.sum())
@@ -217,11 +214,11 @@ def _kernel_finite_raw(p: float, x: np.ndarray, cells, levels: int):
         mid = lo + 0.5 * sub_w
         half = 0.5 * sub_w
         x_rep = x[start:stop][pan_x]
-        x_offs = np.cumsum(C.sum(axis=1)) - C.sum(axis=1)
+        x_offs = np.cumsum(per_x[start:stop]) - per_x[start:stop]
 
         def terms(gl_x, gl_w):
             r = mid[:, None] + half[:, None] * gl_x[None, :]
-            return j0_array(x_rep[:, None] * r) * _weight(r, p) * gl_w[None, :]
+            return j0_array(x_rep[:, None] * r) * _weight(r, kernel.p) * gl_w[None, :]
 
         def per_x_sums(fw):
             return np.add.reduceat(fw.sum(axis=1) * half, x_offs)
@@ -235,7 +232,7 @@ def _kernel_finite_raw(p: float, x: np.ndarray, cells, levels: int):
         start = stop
     raw = vals + head
     rounding = _gamma_n(per_x + 14, _U) * mags + _gamma_n(4, _U) * (np.abs(head) + np.abs(raw))
-    return raw, ests + head_cert, rounding
+    return raw, ests + kernel.head_cert, rounding
 
 
 def kernel_values(p: float, x, trunc_target: float = 1e-13):
@@ -260,7 +257,7 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
     nz = x != 0.0
     if np.any(nz):
         k = _kernel(p, trunc_target)
-        raw, est, rounding = _kernel_finite_raw(p, x[nz], k.cells, k.levels)
+        raw, est, rounding = _kernel_finite_raw(k, x[nz])
         vals[nz] = k.pref * raw
         errs[nz] = k.pref * (est + rounding) + k.cert + _PREF_REL_ERR * np.abs(vals[nz])
     return vals, errs
@@ -281,14 +278,11 @@ _CHEB_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_CHEB_DEGREE + 1)
 # cells per family of the Riemann sum that bounds the kernel on each
 _RHO_GRID = tuple(np.geomspace(1.5, 256.0, 48).tolist())
 _M_CELLS = 512
-# panels per kernel_values call while filling, and the table's extent
-# (arguments beyond 2 * _TABLE_MAX_PANELS are evaluated directly)
-_BUILD_PANELS = 128
+# the table's extent: arguments past 2 * _TABLE_MAX_PANELS go direct
 _TABLE_MAX_PANELS = 1 << 16
 _U_LD = float(np.finfo(np.longdouble).epsneg)
 
 
-@functools.lru_cache(maxsize=256)
 def _interp_bound(p: float) -> float:
     """Certified bound on |k - q| over any panel, q the degree-24
     Chebyshev interpolant of k = k_p, or of the kernel that
@@ -344,7 +338,6 @@ def _interp_bound(p: float) -> float:
     return best
 
 
-@functools.lru_cache(maxsize=None)
 def _cheb_basis():
     """Panel nodes t_k = cos(k pi / n) and the discrete Chebyshev
     transform from node values to coefficients (longdouble, so that the
@@ -360,6 +353,9 @@ def _cheb_basis():
     dct[[0, n], :] *= ld(0.5)
     dct.flags.writeable = False
     return t, dct
+
+
+_CHEB_NODES, _CHEB_DCT = _cheb_basis()
 
 
 def _clenshaw(coeffs: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -381,10 +377,12 @@ def _clenshaw(coeffs: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 class _Kernel:
     """k_p for one (p, trunc_target): the truncation bound `cert`, the
-    radial `cells` and head `levels`, the prefactor `pref` = 2/Gamma(1+2/p)
-    and the x-uniform error `uniform` that kernel_values integrates with,
-    and a piecewise Chebyshev table filled panel by panel on demand.  At
-    p = inf (a closed form) it holds only the empty table.
+    radial `cells`, the flat head's weight bound `head_cert`, the prefactor
+    `pref` = 2/Gamma(1+2/p) and the x-uniform error `uniform` that
+    kernel_values integrates with, the interpolation bound `interp`
+    (_interp_bound), and a piecewise Chebyshev table filled panel by
+    panel on demand.  At p = inf (a closed form) it holds only the empty
+    table.
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
@@ -401,10 +399,12 @@ class _Kernel:
             return
         r_max, self.cert = _trunc_radius(p, trunc_target)
         # octaves of dyadic radial cells below u = r^p = 1 (see _weight_cells)
-        self.levels = int(min(48, max(20, math.ceil(-math.log2(trunc_target)))))
-        self.cells = _weight_cells(p, r_max, self.levels)
+        levels = int(min(48, max(20, math.ceil(-math.log2(trunc_target)))))
+        self.cells = _weight_cells(p, r_max, levels)
+        self.head_cert = 2.0 ** -levels * 0.5 * self.cells[0] * self.cells[0]
         self.pref = 2.0 / gamma(1.0 + 2.0 / p)
-        self.uniform = self.cert + self.pref * _head_cert(self.cells[0], self.levels)
+        self.uniform = self.cert + self.pref * self.head_cert
+        self.interp = _interp_bound(p)
 
     def _panels(self, first: int, stop: int):
         """Coefficients, certified errors and the number of kernel_values
@@ -415,14 +415,14 @@ class _Kernel:
         weight) bounds one smooth function of x at every x, so the table
         interpolates the kernel without it and adds it once.  Per panel:
         * the node estimates pass through the Lebesgue constant;
-        * the interpolation error is _interp_bound(p);
+        * the interpolation error is `interp`;
         * rounding: the longdouble transform and the coefficients'
           rounding to double, Clenshaw's local errors (|b_k| <=
           sum_j>=k (j-k+1)|c_j|, |T_j| <= 1), and the rounding of node
           and query abscissae (u (1 + |x|) each, through |q'| <=
           sum j^2 |c_j|, doubled for the interpolation error's slope).
         """
-        t, dct = _cheb_basis()
+        t, dct = _CHEB_NODES, _CHEB_DCT
         n = _CHEB_DEGREE
         half = 0.5 * _CHEB_WIDTH
         centres = _CHEB_WIDTH * np.arange(first, stop, dtype=np.float64) + half
@@ -445,7 +445,7 @@ class _Kernel:
         clenshaw = 2.0 * _gamma_n(3, _U) * (mag @ (1.0 + 1.5 * j * (j + 1.0)))
         abscissae = _U * (1.0 + _CHEB_LEBESGUE) * (2.0 + centres + half) * 2.0 * (mag @ (j * j))
         rounding = _U * mag.sum(axis=1) + transform + clenshaw + abscissae
-        err = self.uniform + _CHEB_LEBESGUE * node + _interp_bound(self.p) + rounding
+        err = self.uniform + _CHEB_LEBESGUE * node + self.interp + rounding
         err[~(err <= self.trunc_target)] = math.inf
         return coeffs.T, err, xs.size
 
@@ -455,17 +455,16 @@ class _Kernel:
         closed form) and p = 1 (no usable ellipse) go to kernel_values
         directly, and so do points on panels without a certified fit or
         past the table's extent."""
-        if is_inf(self.p) or not _interp_bound(self.p) <= self.trunc_target:
+        if is_inf(self.p) or not self.interp <= self.trunc_target:
             kv, ke = kernel_values(self.p, x, trunc_target=self.trunc_target)
             return kv, ke, 0, 0.0
         idx = np.minimum(x * (1.0 / _CHEB_WIDTH), _TABLE_MAX_PANELS - 1).astype(np.intp)
         coeffs, errs = self.state
         need = int(idx.max()) + 1
-        parts = [self._panels(lo, min(lo + _BUILD_PANELS, need))
-                 for lo in range(errs.size, need, _BUILD_PANELS)]
-        if parts:
-            coeffs = np.concatenate([coeffs] + [c for c, _, _ in parts], axis=1)
-            errs = np.concatenate([errs] + [e for _, e, _ in parts])
+        added = 0
+        if need > errs.size:
+            new_coeffs, new_errs, added = self._panels(errs.size, need)
+            coeffs, errs = np.concatenate([coeffs, new_coeffs], axis=1), np.concatenate([errs, new_errs])
             self.state = (coeffs, errs)
         err = errs.take(idx)
         err[x >= _CHEB_WIDTH * _TABLE_MAX_PANELS] = math.inf
@@ -474,8 +473,8 @@ class _Kernel:
         direct = np.isinf(err)
         if np.any(direct):
             vals[direct], err[direct] = kernel_values(self.p, x[direct], trunc_target=self.trunc_target)
-        interp = 0.0 if np.all(direct) else _interp_bound(self.p)
-        return vals, err, sum(count for _, _, count in parts), interp
+        interp = 0.0 if np.all(direct) else self.interp
+        return vals, err, added, interp
 
 
 @functools.lru_cache(maxsize=64)
@@ -488,7 +487,6 @@ def _kernel(p: float, trunc_target: float) -> _Kernel:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
 def _envelope_families(p: float):
     """Proven kernel bounds of the form |k_p(x)| <= C x^-q for x >= x_min,
     as tuples (q, C, x_min).
@@ -543,10 +541,9 @@ def tail_bound_outer(p: float, a, s_max: float) -> float:
         # suffix sums of the cap logs: caps for indices m..r-1
         suffix = np.concatenate([np.cumsum(log_env[::-1])[::-1], [0.0]])
         lead = 0.0  # sum over subset of log(C / a_j^q)
-        m_min = 3 if q == 1.0 else 2
         for m in range(1, r + 1):
             lead += math.log(c) - q * math.log(nz[m - 1])
-            if m < m_min or q * m <= 2.0:
+            if q * m <= 2.0:
                 continue
             if nz[m - 1] * s_max < x_min:
                 break

@@ -113,7 +113,7 @@ def estimate_section_volume(p: float, a, spec: McSpec, stream_domain: int = 0) -
         vals = _draw_batch(p, arr, gen, bn)
         batch_means.append(float(vals.mean()))
     bm = np.array(batch_means) * g2
-    std_err = float(bm.std(ddof=1) / math.sqrt(bm.size)) if bm.size > 1 else 0.0
+    std_err = float(bm.std(ddof=1) / math.sqrt(bm.size))
     meta = {
         "samples": spec.samples,
         "batches": _BATCHES,

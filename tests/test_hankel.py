@@ -108,6 +108,20 @@ class TestKernel:
         for vals, errs in runs[1:]:
             assert np.array_equal(vals, runs[0][0]) and np.array_equal(errs, runs[0][1])
 
+    def test_memory_does_not_grow_with_arguments(self):
+        # the argument x cell subpanel counts form one block at a time, so
+        # 20 000 arguments stay within a few chunks' temporaries
+        import tracemalloc
+
+        hk.kernel_values(4.0, np.linspace(1e-3, 1.0, 10))
+        tracemalloc.start()
+        try:
+            hk.kernel_values(4.0, np.linspace(1e-3, 1.0, 20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
     def test_invariant_value_within_one_plus_err(self):
         value, err = kernel_at(9.0, 0.3)
         assert abs(value) <= 1.0 + err
@@ -453,6 +467,12 @@ class TestChebyshevKernelTable:
         assert first.meta["kernel_interp_bound"] > 0.0
         assert (again.value, again.err_bound) == (first.value, first.err_bound)
         assert again.meta["kernel_evals"] == first.meta["kernel_evals"]
+        # the kernel cache holds all input-keyed state: cleared, it rebuilds
+        # the same table and the same bits
+        hk._kernel.cache_clear()
+        cold = hk.section_volume_quadrature(6.125, d, 1e-6)
+        assert (cold.value, cold.err_bound) == (first.value, first.err_bound)
+        assert cold.meta["kernel_nodes"] == first.meta["kernel_nodes"]
 
     def test_concurrent_fills_match_serial(self):
         # threads that fill one table to different extents at once must

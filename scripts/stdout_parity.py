@@ -11,10 +11,11 @@ checkouts is a diff of two runs:
     diff parent.txt change.txt
 
 The list covers every engine and subcommand: quadrature volumes from
-p = 1 to inf, Monte Carlo and closed forms, the usage (2) and
-non-convergence (3) exits, a kernel grid whose step is not dyadic, a
-crossing scan, the Lipschitz suite, and the optimizer on n = 2 (closed
-forms only) and n = 3 (quadrature).  It runs in under a minute on two
+p = 1 to inf, Monte Carlo volumes (odd and even n, finite p and
+p = inf) and closed forms, the usage (2) and non-convergence (3) exits,
+a kernel grid whose step is not dyadic, a crossing scan, the Lipschitz
+suite, two clt tables, and the optimizer on n = 2 (closed forms only)
+and n = 3 (quadrature).  It runs in under a minute on two
 cores.  Standard library only.
 """
 
@@ -40,6 +41,7 @@ LINES = [
     "volume --p inf --a 1,0.8,0.6 --engine quad --tol 1e-8 --format json",
     # other engines
     "volume --p 4 --diag 3 --engine mc --samples 20000 --seed 5",
+    "volume --p inf --diag 5 --engine mc --samples 20000 --seed 4",
     "volume --p 4 --a2 3 --engine closed",
     # usage errors (exit 2)
     "volume --p 0.5 --diag 3 --engine quad",
@@ -62,6 +64,7 @@ LINES = [
     "crossing --p 9 --n-max 8 --tol 1e-5",
     "verify --suite lipschitz",
     "clt --p 4 --n-list 2,8 --samples 20000 --seed 3",
+    "clt --p 4 --n-list 3,16 --samples 20000 --seed 2",
     "optimize --p 4 --n 2 --engine quad --budget 20",
     "optimize --p 4 --n 3 --engine quad --budget 15 --seed 1",
 ]

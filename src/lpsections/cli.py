@@ -7,7 +7,8 @@ only.  All state is in flags (no environment variables), so a recorded
 command line reproduces its output byte for byte.
 
 Exit codes: 0 success, 1 an inequality/assertion suite failed,
-2 usage error, 3 numerical non-convergence.
+2 usage error, 3 numerical non-convergence, 4 internal error (any
+other exception, reported on one line of standard error).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_INTERNAL = 4
 
 # a `kernel` table needs --s-max / --step below this (about as many rows)
 KERNEL_MAX_ROWS = 10 ** 6
@@ -316,6 +318,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a crash must not read as exit 1, a failed suite
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

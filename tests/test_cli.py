@@ -292,6 +292,17 @@ class TestBadInput:
         assert (code, captured.out) == (2, "")
         assert named in captured.err
 
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        # it printed a traceback and exited 1, the failed-suite code
+        def boom(args):
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(cli, "_cmd_clt", boom)
+        code = cli.main(["clt", "--p", "4", "--n-list", "2", "--samples", "1000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == "internal error: RuntimeError: synthetic\n"
+
 
 class TestOutputPath:
     def test_unwritable_path_is_usage_error(self, capsys, tmp_path):

@@ -23,9 +23,9 @@ def rb_oracle(u: float, v: float, order: int = 400) -> float:
 
 def plain_batch_means(p, a, spec):
     """Batch means of the raw estimator Gamma(1+2/p) |sum_j a_j R_j xi_j|^(-2),
-    whose second moment diverges: the substreams, chunks and draw order
-    of mc.estimate_section_volume, with 1/|sum|^2 per draw in place of
-    the Rao-Blackwellized value."""
+    whose second moment diverges, drawn with sphere points from the
+    substreams of mc.estimate_section_volume (its chunks and draw order
+    differ: it draws merge scalars, not sphere points)."""
     a = canonicalize(a).as_array()
     n = a.size
     means = []
@@ -120,6 +120,31 @@ class TestEstimator:
         twin = RngStream(21, 0).generator
         vmax = (a[None, :] * radial_array(3.0, (10_000, a.size), twin)).max(axis=1)
         assert np.all(vals <= 1.0 / vmax ** 2 + 1e-12)
+
+
+class TestMergedNorms:
+    """The pairwise merge draws |sum_j b_j xi_j| exactly in law."""
+
+    @pytest.mark.parametrize("b", [[1.0, 0.7, 0.0, 0.4, 0.9],
+                                   [0.3, 1.2, 0.8, 0.8, 0.0, 0.5, 1.0, 0.1]])
+    def test_law_matches_sphere_sum(self, b):
+        stats = pytest.importorskip("scipy.stats")
+        m = 20_000
+        mags = np.tile(np.array(b), (m, 1))
+        merged = mc._merged_norms(mags, RngStream(41, 0).generator)
+        assert np.all(mags == b)  # the magnitudes are left unchanged
+        vec = np.einsum("ij,ijk->ik", mags, sphere3_array((m, len(b)), RngStream(42, 0).generator))
+        direct = np.sqrt(np.einsum("ik,ik->i", vec, vec))
+        assert stats.ks_2samp(merged, direct).pvalue > 1e-3
+
+    def test_two_coordinates_give_the_peak_term(self):
+        # with the larger magnitude removed, one term is left, whose norm
+        # is its magnitude: every draw is 1/max(b_1, b_2)^2 exactly
+        a = Direction([0.8, 0.6]).as_array()
+        vals = mc._draw_batch(4.0, a, RngStream(23, 0).generator, 10_000)
+        twin = RngStream(23, 0).generator
+        vmax = (a[None, :] * radial_array(4.0, (10_000, 2), twin)).max(axis=1)
+        assert np.array_equal(vals, 1.0 / (vmax * vmax))
 
 
 class TestCltExperiment:

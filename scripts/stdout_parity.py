@@ -12,9 +12,10 @@ checkouts is a diff of two runs:
 
 The list covers every engine and subcommand: quadrature volumes from
 p = 1 to inf, Monte Carlo volumes (odd and even n, finite p and
-p = inf) and closed forms, the usage (2) and non-convergence (3) exits,
+p = inf) and closed forms (finite p and p = inf), a direction whose sum
+of squares underflows, the usage (2) and non-convergence (3) exits,
 a kernel grid whose step is not dyadic, a crossing scan, the Lipschitz
-suite, two clt tables, and the optimizer on n = 2 (closed forms only)
+suite, three clt tables (one at p = inf), and the optimizer on n = 2 (closed forms only)
 and n = 3 (quadrature).  It runs in under a minute on two
 cores.  Standard library only.
 """
@@ -43,6 +44,7 @@ LINES = [
     "volume --p 4 --diag 3 --engine mc --samples 20000 --seed 5",
     "volume --p inf --diag 5 --engine mc --samples 20000 --seed 4",
     "volume --p 4 --a2 3 --engine closed",
+    "volume --p inf --a2 3 --engine closed",
     # usage errors (exit 2)
     "volume --p 0.5 --diag 3 --engine quad",
     "volume --p 4 --a2 3 --engine quad --tol inf",
@@ -59,12 +61,15 @@ LINES = [
     # non-convergence (exit 3)
     "volume --p 1e20 --diag 3 --engine quad",
     "volume --p 4 --a 1,1e-200,1e-200 --engine quad",
+    # a direction whose sum of squares underflows, rescaled by its largest entry
+    "volume --p 4 --a 1e-200,1e-200,1e-200 --engine quad --tol 1e-6",
     # the other subcommands
     "kernel --p 7.3 --s-max 12.1 --step 0.3",
     "crossing --p 9 --n-max 8 --tol 1e-5",
     "verify --suite lipschitz",
     "clt --p 4 --n-list 2,8 --samples 20000 --seed 3",
     "clt --p 4 --n-list 3,16 --samples 20000 --seed 2",
+    "clt --p inf --n-list 2,5 --samples 20000 --seed 6",
     "optimize --p 4 --n 2 --engine quad --budget 20",
     "optimize --p 4 --n 3 --engine quad --budget 15 --seed 1",
 ]

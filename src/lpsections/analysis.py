@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .closedform import a2_closed_form, a2_general, limit_diagonal
-from .direction import Direction, canonicalize, is_inf, validate_exponent
+from .direction import Direction, canonicalize, validate_exponent
 from .hankel import VolumeResult, section_volume_quadrature
 # not called here: the benchmark's span tracer (perfbench/layers.py) rebinds this name
 from .montecarlo import estimate_section_volume  # noqa: F401
@@ -203,7 +203,7 @@ def crossing_scan(p: float, n_max: int, tol: float = 1e-6) -> CrossingReport:
     coerced either way.
     """
     p = validate_exponent(p)
-    if is_inf(p) or p <= 2.0:
+    if math.isinf(p) or p <= 2.0:
         raise ValueError(f"crossing scan requires finite p > 2, got {p}")
     if n_max < 3:
         raise ValueError("n_max must be >= 3")

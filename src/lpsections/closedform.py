@@ -9,17 +9,16 @@ closed engine.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .direction import NORM_TOL, canonicalize, is_inf, validate_exponent
+from .direction import NORM_TOL, canonicalize, validate_exponent
 from .specfun import gamma
 
 
 def a2_closed_form(p: float) -> float:
     """Section volume at the two-equal-coordinates direction: 2^(1-2/p)."""
     p = validate_exponent(p)
-    if is_inf(p):
-        return 2.0
     return 2.0 ** (1.0 - 2.0 / p)
 
 
@@ -35,7 +34,7 @@ def a2_general(p: float, b1: float, b2: float) -> float:
         # equal coordinates reduce to 2^(1-2/p) exactly; evaluating the
         # p-norm form would round the last ulp
         return a2_closed_form(p)
-    if is_inf(p):
+    if math.isinf(p):
         return max(b1, b2) ** -2.0
     return (b1 ** p + b2 ** p) ** (-2.0 / p)
 
@@ -56,8 +55,6 @@ def limit_diagonal(p: float) -> float:
     """Large-n limit of the diagonal section volume:
     2 Gamma(1+2/p)^2 / Gamma(1+4/p)."""
     p = validate_exponent(p)
-    if p <= 1.0 and not is_inf(p):
+    if p <= 1.0:
         raise ValueError(f"diagonal limit requires p > 1, got {p}")
-    if is_inf(p):
-        return 2.0
     return 2.0 * gamma(1.0 + 2.0 / p) ** 2 / gamma(1.0 + 4.0 / p)

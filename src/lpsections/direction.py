@@ -24,10 +24,6 @@ def validate_exponent(p: float) -> float:
     return p
 
 
-def is_inf(p: float) -> bool:
-    return math.isinf(p)
-
-
 class Direction:
     """Canonical unit coefficient vector: nonnegative entries, sorted
     descending, unit Euclidean norm."""
@@ -35,12 +31,18 @@ class Direction:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[float]):
-        arr = np.abs(np.asarray(list(entries), dtype=complex)).astype(np.float64)
+        with np.errstate(over="ignore"):
+            arr = np.abs(np.asarray(list(entries), dtype=complex)).astype(np.float64)
+            nrm = float(np.linalg.norm(arr))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("direction needs at least one coordinate")
-        nrm = float(np.linalg.norm(arr))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise ValueError("direction must have a finite nonzero norm")
+        if not np.all(np.isfinite(arr)) or not np.any(arr):
+            raise ValueError("direction entries must be finite and not all zero")
+        if not 0.0 < nrm < math.inf:
+            # the sum of squares left the double range: the direction is
+            # scale-invariant, so bring the largest modulus to 1 first
+            arr /= arr.max()
+            nrm = float(np.linalg.norm(arr))
         arr = np.sort(arr / nrm)[::-1]
         # one polish pass keeps sum of squares at 1 within 1e-12 even for
         # long inputs

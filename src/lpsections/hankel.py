@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import section_value
-from .direction import canonicalize, is_inf, validate_exponent
+from .direction import canonicalize, validate_exponent
 from .specfun import GAMMA_REL_ERR, gamma, gamma_upper, j0_array, j1_array
 
 # Upper bound for |J1| everywhere (the envelope constant M).
@@ -249,7 +249,7 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
         raise ValueError("kernel argument must be nonnegative")
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel argument must be finite")
-    if is_inf(p):
+    if math.isinf(p):
         return _j1_normalized(x), np.zeros_like(x)
     # k(0) = 1 exactly
     vals = np.ones_like(x)
@@ -382,7 +382,7 @@ class _Kernel:
     kernel_values integrates with, the interpolation bound `interp`
     (_interp_bound), and a piecewise Chebyshev table filled panel by
     panel on demand.  At p = inf (a closed form) it holds only the empty
-    table.
+    table and interp = inf, so that lookup never reads the table.
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
@@ -395,7 +395,8 @@ class _Kernel:
     def __init__(self, p: float, trunc_target: float):
         self.p, self.trunc_target = p, trunc_target
         self.state = (np.empty((_CHEB_DEGREE + 1, 0)), np.empty(0))
-        if is_inf(p):
+        if math.isinf(p):
+            self.interp = math.inf
             return
         r_max, self.cert = _trunc_radius(p, trunc_target)
         # octaves of dyadic radial cells below u = r^p = 1 (see _weight_cells)
@@ -451,11 +452,12 @@ class _Kernel:
 
     def lookup(self, x: np.ndarray):
         """(values, errors, nodes added, interpolation bound or 0.0 if no
-        value came from the table) for nonnegative finite x.  p = inf (a
-        closed form) and p = 1 (no usable ellipse) go to kernel_values
+        value came from the table) for nonnegative finite x.  Kernels
+        without a usable interpolation bound (interp = inf: p = inf, a
+        closed form, and p = 1, no usable ellipse) go to kernel_values
         directly, and so do points on panels without a certified fit or
         past the table's extent."""
-        if is_inf(self.p) or not self.interp <= self.trunc_target:
+        if not self.interp <= self.trunc_target:
             kv, ke = kernel_values(self.p, x, trunc_target=self.trunc_target)
             return kv, ke, 0, 0.0
         idx = np.minimum(x * (1.0 / _CHEB_WIDTH), _TABLE_MAX_PANELS - 1).astype(np.intp)
@@ -498,7 +500,7 @@ def _envelope_families(p: float):
     q=2   from a second integration by parts:
           |k_p(x)| <= 4 p / (e Gamma(1+2/p)) / x^2.
     """
-    if is_inf(p):
+    if math.isinf(p):
         return ((1.0, 2.0 * J1_MAX_BOUND, 0.0), (1.5, 2.0 * _J1_SQRT_BOUND, 2.0))
     g2 = gamma(1.0 + 2.0 / p)
     fams = [(1.0, 2.0 * J1_MAX_BOUND * gamma(1.0 + 1.0 / p) / g2, 0.0)]
@@ -662,7 +664,7 @@ def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResul
     if closed is not None:
         return VolumeResult(closed, 0.0, "closed_form")
 
-    prefactor = 0.5 if is_inf(p) else 0.5 * gamma(1.0 + 2.0 / p)
+    prefactor = 0.5 * gamma(1.0 + 2.0 / p)
     s_max, tail = _auto_s_max(p, a, prefactor, tol_abs)
 
     groups = a.grouped()
@@ -677,7 +679,7 @@ def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResul
     )
     value = prefactor * total
     # Gamma(1+2/p) and the product with it round; at p = inf the factor 1/2 is exact
-    pref_err = 0.0 if is_inf(p) else _PREF_REL_ERR * abs(value)
+    pref_err = 0.0 if math.isinf(p) else _PREF_REL_ERR * abs(value)
     err = tail + prefactor * (quad_est + inner_prop) + pref_err
     meta = {
         "s_max": s_max,

@@ -41,7 +41,6 @@ class OptReport:
     iterations: int
     trace: tuple
     converged: bool
-    meta: dict
 
 
 def _weights(y: np.ndarray) -> np.ndarray:
@@ -56,23 +55,21 @@ def _as_direction(y: np.ndarray) -> Direction:
 
 
 class _Objective:
-    """Quadrature objective with evaluation counting and memoization on
-    the canonical direction (plateaus from canonicalization would
-    otherwise re-pay the engine).  The engine is a module global looked
-    up at each call, so a hook that rebinds it sees every call."""
+    """Quadrature objective with memoization on the canonical direction
+    (plateaus from canonicalization would otherwise re-pay the engine).
+    The engine is a module global looked up at each call, so a hook that
+    rebinds it sees every call."""
 
     def __init__(self, p, tol_abs):
         self.p = p
         self.tol_abs = tol_abs
         self.cache: dict = {}
-        self.evals = 0
 
     def __call__(self, d: Direction) -> VolumeResult:
         hit = self.cache.get(d)
         if hit is not None:
             return hit
         res = section_volume_quadrature(self.p, d, self.tol_abs)
-        self.evals += 1
         self.cache[d] = res
         return res
 
@@ -190,12 +187,10 @@ def maximize_direction(
             trace.append((total_iters, val))
     best_dir = _as_direction(best_y)
     best_res = obj(best_dir)
-    meta = {"starts": len(starts), "engine_evals": obj.evals, "seed": seed}
     return OptReport(
         best=best_dir,
         best_value=best_res,
         iterations=total_iters,
         trace=tuple(trace),
         converged=best_from_converged,
-        meta=meta,
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,16 @@ class TestSectionVolume:
         ra = hk.section_volume_quadrature(4.0, Direction([0.8, 0.6, 0.0]), tol)
         rb = hk.section_volume_quadrature(4.0, Direction([0.6, 0.0, 0.8]), tol)
         assert ra.value == rb.value
+
+    def test_scale_invariance(self):
+        # the sums of squares underflow and overflow; the directions are
+        # rescaled by their largest modulus, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Direction([1e-200] * 3) == Direction([1e200] * 3) == Direction.diagonal(3)
+            for bad in ([1.0, math.nan], [math.inf, 1.0], [0.0, 0.0]):
+                with pytest.raises(ValueError):
+                    Direction(bad)
 
     def test_monotone_in_p_and_range(self):
         # fixed four-coordinate diagonal; values are nondecreasing in p and

@@ -54,6 +54,28 @@ class TestRaoBlackwellKernel:
         with pytest.raises(ValueError):
             mc.rao_blackwell_kernel(-1.0, 2.0)
 
+    def test_arrays_match_scalar_calls(self):
+        u = np.array([0.0, 0.2, 1.0, 1.9, 3.0])
+        v = np.array([0.7, 0.1, 1.0, 2.5, 0.0])
+        got = mc.rao_blackwell_kernel(u, v)
+        assert got.tolist() == [mc.rao_blackwell_kernel(float(x), float(y)) for x, y in zip(u, v)]
+        for bad_u, bad_v in ((0.0, 0.0), (-1.0, 2.0), (2.0, -1e-300)):
+            with pytest.raises(ValueError):
+                mc.rao_blackwell_kernel(np.append(u, bad_u), np.append(v, bad_v))
+
+    def test_estimator_runs_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = mc.rao_blackwell_kernel
+
+        def counting(u, v):
+            calls.append(np.size(u))
+            return kernel(u, v)
+
+        monkeypatch.setattr(mc, "rao_blackwell_kernel", counting)
+        mc.estimate_section_volume(4.0, Direction.diagonal(3), mc.McSpec(samples=64, seed=1))
+        # one chunk per batch, and every draw passes through the kernel
+        assert len(calls) == mc._BATCHES and sum(calls) == 64
+
     def test_oracle_spot_grid(self):
         # the full 20x20 oracle grid runs in the acceptance suite
         for u in (0.2, 0.7, 1.0, 1.9):

@@ -15,7 +15,8 @@ p = 1 to inf, Monte Carlo volumes (odd and even n, finite p and
 p = inf) and closed forms (finite p and p = inf), a direction whose sum
 of squares underflows, the usage (2) and non-convergence (3) exits,
 a kernel grid whose step is not dyadic, a crossing scan, the Lipschitz
-suite, three clt tables (one at p = inf), and the optimizer on n = 2 (closed forms only)
+suite, four clt tables (one at p = inf, one whose batches span
+several chunks), and the optimizer on n = 2 (closed forms only)
 and n = 3 (quadrature).  It runs in under a minute on two
 cores.  Standard library only.
 """
@@ -70,6 +71,8 @@ LINES = [
     "clt --p 4 --n-list 2,8 --samples 20000 --seed 3",
     "clt --p 4 --n-list 3,16 --samples 20000 --seed 2",
     "clt --p inf --n-list 2,5 --samples 20000 --seed 6",
+    # 256 draws of 1024 coordinates per batch: four chunks each
+    "clt --p 4 --n-list 1024 --samples 8192 --seed 8",
     "optimize --p 4 --n 2 --engine quad --budget 20",
     "optimize --p 4 --n 3 --engine quad --budget 15 --seed 1",
 ]

@@ -457,10 +457,12 @@ class _Kernel:
         closed form, and p = 1, no usable ellipse) go to kernel_values
         directly, and so do points on panels without a certified fit or
         past the table's extent."""
-        if not self.interp <= self.trunc_target:
+        past = x >= _CHEB_WIDTH * _TABLE_MAX_PANELS
+        if not self.interp <= self.trunc_target or np.all(past):
             kv, ke = kernel_values(self.p, x, trunc_target=self.trunc_target)
             return kv, ke, 0, 0.0
-        idx = np.minimum(x * (1.0 / _CHEB_WIDTH), _TABLE_MAX_PANELS - 1).astype(np.intp)
+        # past points read panel 0 and go direct: they must not grow the table
+        idx = np.where(past, 0.0, x * (1.0 / _CHEB_WIDTH)).astype(np.intp)
         coeffs, errs = self.state
         need = int(idx.max()) + 1
         added = 0
@@ -469,7 +471,7 @@ class _Kernel:
             coeffs, errs = np.concatenate([coeffs, new_coeffs], axis=1), np.concatenate([errs, new_errs])
             self.state = (coeffs, errs)
         err = errs.take(idx)
-        err[x >= _CHEB_WIDTH * _TABLE_MAX_PANELS] = math.inf
+        err[past] = math.inf
         t = x - (_CHEB_WIDTH * idx + 0.5 * _CHEB_WIDTH)
         vals = _clenshaw(coeffs, idx, t)
         direct = np.isinf(err)

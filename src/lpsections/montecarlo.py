@@ -32,15 +32,23 @@ the number of partial sums and drawing one T = sqrt(U) cos(2 pi V) per
 merged pair from two uniforms.  A draw costs one radial modulus and two
 uniforms per coordinate, where sphere points cost four normals.
 
-Sampling is batched: batch b draws from the substream (seed, b), so the
-result is bit-for-bit reproducible regardless of how the work would be
-scheduled; results are reduced in batch order.  Each chunk of a batch
-draws its radial moduli first, then the merge scalars level by level.
+Sampling is batched: batch b draws from the substream (seed, b), and the
+batch means are reduced in batch order.  The batches run on a thread pool
+with one worker per core available to the process (at most one per
+batch); numpy's random fills and ufuncs release the GIL.  Since every
+batch owns its generator and the reduction order is fixed, the worker
+count changes no bit of the value, the error bar or the batch means.
+A batch draws in chunks of at most _CHUNK_ELEMENTS magnitudes, which
+bounds each worker's working set (about 2 MiB); each chunk draws its
+radial moduli first, then the merge scalars level by level.  The chunk
+size is part of the random stream: a batch spanning several chunks
+draws in a different order than one chunk would.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,6 +63,9 @@ from .specfun import gamma
 
 # batches per estimate: their spread gives the error bars
 _BATCHES = 32
+# magnitudes per chunk of a batch: each worker thread holds one chunk's
+# arrays (about 32 bytes per magnitude at the peak) at a time
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,8 +105,8 @@ def _merged_norms(b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         # rows [0, h) absorb rows [w - h, w); with w odd, row h waits a level
         h = w // 2
         x, y = u[:h], u[w - h:w]
-        rv = gen.random((2,) + x.shape)
-        t, phase = rv[0], rv[1]
+        t = gen.random(x.shape)
+        phase = gen.random(x.shape)
         np.sqrt(t, out=t)
         phase *= 2.0 * math.pi
         np.cos(phase, out=phase)
@@ -117,12 +128,13 @@ def _merged_norms(b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
 def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int):
     """Per-draw Rao-Blackwellized values (pre gamma-factor)."""
     n = a.size
-    chunk = max(1, min(count, (1 << 19) // n))
+    chunk = max(1, min(count, _CHUNK_ELEMENTS // n))
     vals = np.empty(count)
     done = 0
     while done < count:
         m = min(chunk, count - done)
-        b = a[None, :] * radial_array(p, (m, n), gen)
+        b = radial_array(p, (m, n), gen)
+        b *= a
         k = np.argmax(b, axis=1)
         rows = np.arange(m)
         bk = b[rows, k]
@@ -130,6 +142,16 @@ def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int):
         vals[done:done + m] = rao_blackwell_kernel(_merged_norms(b, gen), bk)
         done += m
     return vals
+
+
+def _workers() -> int:
+    """Threads for the batches: the cores this process may run on, at most
+    one per batch."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, _BATCHES))
 
 
 def _batch_sizes(samples: int, batches: int) -> list[int]:
@@ -148,14 +170,19 @@ def estimate_section_volume(p: float, a, spec: McSpec, stream_domain: int = 0) -
     a = canonicalize(a)
     if a.nonzero_count < 2:
         return VolumeResult(1.0, 0.0, "closed_form", {"degenerate": True})
+    from concurrent.futures import ThreadPoolExecutor  # not at import, so start-up time stays the same
+
     g2 = gamma(1.0 + 2.0 / p)
     arr = a.as_array()
     base = RngStream(spec.seed, stream_domain)
-    batch_means = []
-    for bi, bn in enumerate(_batch_sizes(spec.samples, _BATCHES)):
-        gen = base.substream(bi).generator
-        vals = _draw_batch(p, arr, gen, bn)
-        batch_means.append(float(vals.mean()))
+
+    def batch_mean(job):
+        bi, bn = job
+        return float(_draw_batch(p, arr, base.substream(bi).generator, bn).mean())
+
+    with ThreadPoolExecutor(_workers()) as ex:
+        # map yields in batch order, whatever order the batches finish in
+        batch_means = list(ex.map(batch_mean, enumerate(_batch_sizes(spec.samples, _BATCHES))))
     bm = np.array(batch_means) * g2
     std_err = float(bm.std(ddof=1) / math.sqrt(bm.size))
     meta = {"batch_values": tuple(float(v) for v in bm)}

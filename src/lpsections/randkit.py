@@ -62,7 +62,8 @@ def radial_array(p: float, size, gen: np.random.Generator) -> np.ndarray:
     if math.isinf(p):
         return np.ones(size)
     g = gen.standard_gamma(1.0 + 2.0 / p, size=size)
-    return g ** (1.0 / p)
+    g **= 1.0 / p
+    return g
 
 
 def sphere3_array(size, gen: np.random.Generator) -> np.ndarray:

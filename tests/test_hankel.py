@@ -485,6 +485,23 @@ class TestChebyshevKernelTable:
         assert (cold.value, cold.err_bound) == (first.value, first.err_bound)
         assert cold.meta["kernel_nodes"] == first.meta["kernel_nodes"]
 
+    def test_past_extent_goes_direct_without_filling(self, monkeypatch):
+        # a point past the table's extent must not make the table fill up
+        # to its last panel before it goes direct
+        calls = []
+        panels = hk._Kernel._panels
+
+        def counting(self, first, stop):
+            calls.append((first, stop))
+            return panels(self, first, stop)
+
+        monkeypatch.setattr(hk._Kernel, "_panels", counting)
+        x = np.array([2e5])
+        v, e, added, interp = hk._kernel(4.0, 1e-13).lookup(x)
+        assert calls == [] and (added, interp) == (0, 0.0)
+        dv, de = hk.kernel_values(4.0, x, trunc_target=1e-13)
+        assert np.array_equal(v, dv) and np.array_equal(e, de)
+
     def test_concurrent_fills_match_serial(self):
         # threads that fill one table to different extents at once must
         # read the same bits as serial lookups on a table of their own

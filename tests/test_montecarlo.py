@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +147,47 @@ class TestEstimator:
         twin = RngStream(21, 0).generator
         vmax = (a[None, :] * radial_array(3.0, (10_000, a.size), twin)).max(axis=1)
         assert np.all(vals <= 1.0 / vmax ** 2 + 1e-12)
+
+
+class TestThreads:
+    """The batches run on a thread pool; nothing but speed depends on it."""
+
+    @pytest.mark.parametrize("p,n,samples", [
+        (4.0, 1024, 8192),  # 256 draws per batch: four chunks of 64 rows
+        (INF, 5, 20_000),
+        (9.0, 5, 20_000),
+    ])
+    def test_worker_count_changes_no_bit(self, p, n, samples, monkeypatch):
+        spec = mc.McSpec(samples=samples, seed=12)
+        results = []
+        for cores in (1, 2, 3, 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)), raising=False)
+            assert mc._workers() == cores
+            res = mc.estimate_section_volume(p, Direction.diagonal(n), spec)
+            results.append((res.value, res.err_bound, res.meta["batch_values"]))
+        assert all(r == results[0] for r in results[1:])
+
+    def test_batch_working_set(self):
+        # each worker holds one batch's arrays at a time; this bound on them
+        # is what keeps a threaded run's peak RSS at the serial one's
+        a = Direction.diagonal(4).as_array()
+        gen = RngStream(5, 0).generator
+        tracemalloc.start()
+        try:
+            mc._draw_batch(4.0, a, gen, 58_593)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20
+
+    def test_thread_pool_not_imported_at_start_up(self):
+        code = ("import sys; from lpsections import cli; cli.build_parser(); "
+                "print('concurrent.futures' in sys.modules)")
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert res.stdout.strip() == "False"
 
 
 class TestMergedNorms:

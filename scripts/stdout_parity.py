@@ -3,8 +3,12 @@
 
 Runs a fixed list of `lpsec` command lines, each in a fresh
 `python -m lpsections` with PYTHONPATH set to one source tree, and prints
-one line per command: `exit sha256-of-stdout command`.  Comparing two
-checkouts is a diff of two runs:
+one line per command: `exit sha256-of-stdout sha256-of-values command`.
+The second hash covers stdout with the error-bearing columns removed
+(`err_bound`, `a_diag_err`, `std_err`, and `verify`'s `rhs` and
+`margin`, which add engine errors on the Lipschitz rows), so a change
+that moves only error bounds keeps it.  Comparing two checkouts is a
+diff of two runs:
 
     python3 scripts/stdout_parity.py --src /path/to/parent/src > parent.txt
     python3 scripts/stdout_parity.py > change.txt
@@ -24,7 +28,10 @@ cores.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import json
 import os
 import shlex
 import subprocess
@@ -77,9 +84,32 @@ LINES = [
     "optimize --p 4 --n 3 --engine quad --budget 15 --seed 1",
 ]
 
+# columns that carry an error bound, or a figure computed from one
+ERROR_COLUMNS = frozenset({"err_bound", "a_diag_err", "std_err", "rhs", "margin"})
+
+
+def values_only(stdout: bytes) -> bytes:
+    """stdout with the ERROR_COLUMNS removed: keys of a JSON document,
+    columns of a CSV table (named by its first row)."""
+    text = stdout.decode()
+    if text.startswith("{"):
+        def strip(obj):
+            if isinstance(obj, dict):
+                return {k: strip(v) for k, v in obj.items() if k not in ERROR_COLUMNS}
+            if isinstance(obj, list):
+                return [strip(v) for v in obj]
+            return obj
+        return json.dumps(strip(json.loads(text)), sort_keys=True, indent=1).encode()
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [i for i, name in enumerate(rows[0]) if name not in ERROR_COLUMNS] if rows else []
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
+    return out.getvalue().encode()
+
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="print `exit sha256 command` for a fixed list of lpsec lines")
+    ap = argparse.ArgumentParser(
+        description="print `exit sha256 values-sha256 command` for a fixed list of lpsec lines")
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                     help="source tree holding the lpsections package (default: this checkout's src)")
     args = ap.parse_args(argv)
@@ -87,7 +117,8 @@ def main(argv=None) -> int:
     for line in LINES:
         res = subprocess.run([sys.executable, "-m", "lpsections", *shlex.split(line)],
                              env=env, capture_output=True, timeout=300)
-        print(res.returncode, hashlib.sha256(res.stdout).hexdigest(), line, flush=True)
+        print(res.returncode, hashlib.sha256(res.stdout).hexdigest(),
+              hashlib.sha256(values_only(res.stdout)).hexdigest(), line, flush=True)
     return 0
 
 

@@ -17,19 +17,21 @@ Error model
 -----------
 * Kernel truncation at r_max is certified analytically:
   |tail| <= 2/Gamma(1+2/p) * 1/p * gamma_upper(2/p, r_max^p).
-* Kernel quadrature error is estimated by comparing Gauss-Legendre
-  rules with 8 and 12 nodes on radial cells graded dyadically in
-  u = r^p (so the weight varies by at most one octave per cell, whatever
-  p) and subdivided to quarter-period width (so each panel sees at most
-  one sign change of the oscillatory factor).  The kernel's bound also
-  covers the rounding of 2/Gamma(1+2/p) and of the panel sums.
+* Kernel quadrature error is certified: radial cells graded dyadically
+  in u = r^p (so the weight varies by at most one octave per cell,
+  whatever p) are subdivided to quarter-period width (so each panel sees
+  at most one sign change of the oscillatory factor), and each subpanel
+  is integrated once with 12 Gauss-Legendre nodes, its error bounded by
+  the integrand's maximum on a Bernstein ellipse (Trefethen, ATAP
+  Thm 19.3; see _Kernel.direct).  The kernel's bound also covers the
+  rounding of 2/Gamma(1+2/p) and of the panel sums.
 * For finite p the outer quadrature reads the kernel from a per-p
   piecewise Chebyshev table (degree 24 on panels of width 2, nodes from
-  kernel_values).  Each table value carries a certified bound: the
-  kernel's x-uniform errors (truncation, flat head) once, the nodes'
-  quadrature estimates times the Lebesgue constant, the interpolation
-  error from the kernel's maximum on a Bernstein ellipse (Trefethen,
-  ATAP Thm 8.2), and rounding.  Panels whose bound exceeds the kernel
+  the radial quadrature).  Each table value carries a certified bound:
+  the kernel's x-uniform errors (truncation, flat head) once, the nodes'
+  quadrature and rounding bounds times the Lebesgue constant, the
+  interpolation error from the kernel's maximum on a Bernstein ellipse
+  (Trefethen, ATAP Thm 8.2), and rounding.  Panels whose bound exceeds the kernel
   target, and every p without a usable bound (p = 1), are evaluated
   directly.
 * The outer integral is truncated at s_max with a rigorous envelope
@@ -93,11 +95,13 @@ class VolumeResult:
     meta: dict = field(default_factory=dict)
 
 
-# Gauss-Legendre nodes per panel.  Kernel radial panels take the value at
-# _GL_ORDER nodes and estimate its error against _GL_ORDER_LOW nodes; outer
-# panels take 2 * _GL_ORDER nodes against _GL_ORDER.
-_GL_ORDER_LOW = 8
+# Gauss-Legendre nodes per panel.  Kernel radial subpanels take _GL_ORDER
+# nodes and certify the rule's error on the Bernstein ellipse rho = 5
+# (_Kernel.direct); outer panels take 2 * _GL_ORDER nodes against _GL_ORDER.
 _GL_ORDER = 12
+# ATAP Thm 19.3 at rho = 5, 64/15 rho^(-2 n) / (rho^2 - 1) per unit of
+# M * half-width, doubled for the rounding of the bound itself
+_GL_ELLIPSE_BOUND = 2.0 * 64.0 / 15.0 * 5.0 ** (-2 * _GL_ORDER) / 24.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,7 +138,7 @@ def _weight(r: np.ndarray, p: float) -> np.ndarray:
     return np.exp(-(r ** p)) * r
 
 
-# radial panels per block of _kernel_finite_raw: its temporaries stay small
+# radial subpanels per block of _Kernel.direct: its temporaries stay small
 _CHUNK_PANELS = 4096
 
 
@@ -168,80 +172,14 @@ def _gamma_n(k, u: float):
     return k * u / (1.0 - k * u)
 
 
-def _kernel_finite_raw(kernel, x: np.ndarray):
-    """Raw integral int_0^r_max J0(x r) exp(-r^p) r dr at the kernel
-    object's p and cells for an array of nonnegative x, plus an error
-    estimate (the reported value uses _GL_ORDER nodes; the comparison with
-    _GL_ORDER_LOW nodes overestimates its error) plus head_cert, and a
-    bound on the rounding of the sums: gamma_(k+14) times the sum of the
-    terms' magnitudes for k panels per x (two products per node, the node
-    sum and the panel sum, in any order), plus gamma_4 times |head| + |raw|
-    for the head's three products and its addition."""
-    g1, w1 = _gl_nodes(_GL_ORDER_LOW)
-    g2, w2 = _gl_nodes(_GL_ORDER)
-    r_flat, cell_lo, cell_w = kernel.cells
-
-    # closed-form head: int_0^r_flat J0(x r) r dr = r_flat^2/2 * j1n(x r_flat),
-    # exact up to the certified weight deviation kernel.head_cert
-    head = 0.5 * r_flat * r_flat * _j1_normalized(x * r_flat)
-
-    vals = np.empty_like(x)
-    ests = np.empty_like(x)
-    mags = np.empty_like(x)
-    per_x = np.empty(x.size, dtype=np.int64)
-    # blocks cut by an upper bound on each argument's subpanels (ceil(y) <=
-    # y + 1 per cell), so the counts never form for all arguments at once
-    csum = np.cumsum(x * (cell_w.sum() / (0.5 * math.pi)) + cell_w.size)
-    start = 0
-    while start < x.size:
-        base = csum[start - 1] if start else 0.0
-        stop = int(np.searchsorted(csum, base + _CHUNK_PANELS)) + 1
-        stop = min(max(stop, start + 1), x.size)
-        # subpanels per (x, cell): quarter-period width, so the lower-order
-        # comparison rule is already sharp
-        C = np.ceil(np.outer(x[start:stop], cell_w) / (0.5 * math.pi)).astype(np.int64)
-        np.maximum(C, 1, out=C)
-        per_x[start:stop] = C.sum(axis=1)
-        nx, ncells = C.shape
-        cflat = C.ravel()
-        total = int(cflat.sum())
-        pan_cell = np.repeat(np.tile(np.arange(ncells), nx), cflat)
-        pan_x = np.repeat(np.repeat(np.arange(nx), ncells), cflat)
-        offs_flat = np.cumsum(cflat) - cflat
-        within = np.arange(total) - np.repeat(offs_flat, cflat)
-        sub_w = cell_w[pan_cell] / np.repeat(cflat, cflat)
-        lo = cell_lo[pan_cell] + within * sub_w
-        mid = lo + 0.5 * sub_w
-        half = 0.5 * sub_w
-        x_rep = x[start:stop][pan_x]
-        x_offs = np.cumsum(per_x[start:stop]) - per_x[start:stop]
-
-        def terms(gl_x, gl_w):
-            r = mid[:, None] + half[:, None] * gl_x[None, :]
-            return j0_array(x_rep[:, None] * r) * _weight(r, kernel.p) * gl_w[None, :]
-
-        def per_x_sums(fw):
-            return np.add.reduceat(fw.sum(axis=1) * half, x_offs)
-
-        s1 = per_x_sums(terms(g1, w1))
-        fw = terms(g2, w2)
-        s2 = per_x_sums(fw)
-        vals[start:stop] = s2
-        ests[start:stop] = np.abs(s2 - s1)
-        mags[start:stop] = per_x_sums(np.abs(fw, out=fw))
-        start = stop
-    raw = vals + head
-    rounding = _gamma_n(per_x + 14, _U) * mags + _gamma_n(4, _U) * (np.abs(head) + np.abs(raw))
-    return raw, ests + kernel.head_cert, rounding
-
-
 def kernel_values(p: float, x, trunc_target: float = 1e-13):
     """Vectorized kernel evaluation.
 
     Returns (values, err_bounds) for an array of nonnegative arguments;
-    err_bounds combines the certified truncation tail, the measured
-    quadrature estimate and the rounding of the sums and of the
-    prefactor 2/Gamma(1+2/p).  p = inf uses the closed form (error 0).
+    err_bounds combines the certified truncation tail and flat-head
+    weight (_Kernel.uniform), the certified Gauss-Legendre bound and the
+    rounding of the sums and of the prefactor 2/Gamma(1+2/p)
+    (_Kernel.direct).  p = inf uses the closed form (error 0).
     """
     p = validate_exponent(p)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -257,9 +195,8 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
     nz = x != 0.0
     if np.any(nz):
         k = _kernel(p, trunc_target)
-        raw, est, rounding = _kernel_finite_raw(k, x[nz])
-        vals[nz] = k.pref * raw
-        errs[nz] = k.pref * (est + rounding) + k.cert + _PREF_REL_ERR * np.abs(vals[nz])
+        vals[nz], errs[nz] = k.direct(x[nz])
+        errs[nz] += k.uniform
     return vals, errs
 
 
@@ -378,8 +315,8 @@ def _clenshaw(coeffs: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
 class _Kernel:
     """k_p for one (p, trunc_target): the truncation bound `cert`, the
     radial `cells`, the flat head's weight bound `head_cert`, the prefactor
-    `pref` = 2/Gamma(1+2/p) and the x-uniform error `uniform` that
-    kernel_values integrates with, the interpolation bound `interp`
+    `pref` = 2/Gamma(1+2/p) and the x-uniform error `uniform` of the
+    radial quadrature `direct`, the interpolation bound `interp`
     (_interp_bound), and a piecewise Chebyshev table filled panel by
     panel on demand.  At p = inf (a closed form) it holds only the empty
     table and interp = inf, so that lookup never reads the table.
@@ -407,15 +344,81 @@ class _Kernel:
         self.uniform = self.cert + self.pref * self.head_cert
         self.interp = _interp_bound(p)
 
+    def direct(self, x: np.ndarray):
+        """(values, errors) of pref * int_0^r_max J0(x r) exp(-r^p) r dr
+        for an array of nonnegative x, the errors without `uniform`.
+
+        The flat head [0, r_flat] is the closed form r_flat^2/2 *
+        j1n(x r_flat).  Each cell is cut into subpanels of at most a
+        quarter period of J0(x r), each integrated once with _GL_ORDER
+        nodes.  On a subpanel (centre mid, half-width half) the rule's
+        error is at most _GL_ELLIPSE_BOUND * M * half, M the integrand's
+        modulus on the Bernstein ellipse rho = 5, with half-axes 2.6 half
+        and 2.4 half.  There |J0(x r)| <= e^(x |Im r|), |r| <= mid + 5
+        half, and |exp(-r^p)| <= exp(-near^p cos(p phi)), with near = mid
+        - 2.6 half and phi = atan(2.4 half / near), if near > 0 and
+        p phi < pi/2.  Both hold for rho = 5 at every p >= 1: a cell is at
+        most c = 2^(1/p) - 1 times its left end lo wide (dyadic in u = r^p
+        below 1, unit steps above, clipped at r_max), so near >= lo (1 -
+        0.8 c) >= 0.2 lo and p phi <= p atan(1.2 c / (1 - 0.8 c)) <= 1.43
+        (worst near p = 1.18); a subpanel's near and phi are no worse
+        than its cell's.
+
+        Rounding: gamma_(k+14) times the sum of the terms' magnitudes for
+        k subpanels per x (two products per node, the node sum and the
+        panel sum, in any order), gamma_4 (|head| + |raw|) for the head's
+        three products and its addition, and the prefactor's."""
+        gl_x, gl_w = _gl_nodes(_GL_ORDER)
+        r_flat, cell_lo, cell_w = self.cells
+        head = 0.5 * r_flat * r_flat * _j1_normalized(x * r_flat)
+        # exact subpanels per argument, one cell at a time: the (x, cell)
+        # counts form for one block only
+        per_x = np.zeros_like(x)
+        for w in cell_w:
+            per_x += np.maximum(np.ceil(x * w / (0.5 * math.pi)), 1.0)
+        per_x = per_x.astype(np.int64)
+        csum = np.cumsum(per_x)
+        vals, bound, mags = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        start = 0
+        while start < x.size:
+            base = csum[start - 1] if start else 0
+            stop = max(int(np.searchsorted(csum, base + _CHUNK_PANELS, side="right")), start + 1)
+            C = np.ceil(np.outer(x[start:stop], cell_w) / (0.5 * math.pi)).astype(np.int64)
+            np.maximum(C, 1, out=C)
+            nx, ncells = C.shape
+            cflat = C.ravel()
+            pan_cell = np.repeat(np.tile(np.arange(ncells), nx), cflat)
+            pan_x = np.repeat(np.repeat(np.arange(nx), ncells), cflat)
+            within = np.arange(csum[stop - 1] - base) - np.repeat(np.cumsum(cflat) - cflat, cflat)
+            sub_w = cell_w[pan_cell] / np.repeat(cflat, cflat)
+            lo = cell_lo[pan_cell] + within * sub_w
+            mid = lo + 0.5 * sub_w
+            half = 0.5 * sub_w
+            x_rep = x[start:stop][pan_x]
+            r = mid[:, None] + half[:, None] * gl_x[None, :]
+            fw = j0_array(x_rep[:, None] * r) * _weight(r, self.p) * gl_w[None, :]
+            near = mid - 2.6 * half
+            m = np.exp(2.4 * half * x_rep - near ** self.p * np.cos(self.p * np.arctan(2.4 * half / near)))
+            x_offs = csum[start:stop] - per_x[start:stop] - base
+            vals[start:stop] = np.add.reduceat(fw.sum(axis=1) * half, x_offs)
+            bound[start:stop] = np.add.reduceat(_GL_ELLIPSE_BOUND * m * (mid + 5.0 * half) * half, x_offs)
+            mags[start:stop] = np.add.reduceat(np.abs(fw, out=fw).sum(axis=1) * half, x_offs)
+            start = stop
+        raw = vals + head
+        rounding = _gamma_n(per_x + 14, _U) * mags + _gamma_n(4, _U) * (np.abs(head) + np.abs(raw))
+        values = self.pref * raw
+        return values, self.pref * (bound + rounding) + _PREF_REL_ERR * np.abs(values)
+
     def _panels(self, first: int, stop: int):
-        """Coefficients, certified errors and the number of kernel_values
+        """Coefficients, certified errors and the number of `direct`
         points evaluated for panels first .. stop-1.
 
-        kernel_values' error bound at x != 0 is `uniform` plus its
-        Gauss-Legendre estimate.  `uniform` (truncation tail and flat-head
-        weight) bounds one smooth function of x at every x, so the table
-        interpolates the kernel without it and adds it once.  Per panel:
-        * the node estimates pass through the Lebesgue constant;
+        The nodes come from `direct`, whose errors leave out `uniform`
+        (truncation tail and flat-head weight): that bounds one smooth
+        function of x at every x, so the table interpolates the kernel
+        without it and adds it once.  Per panel:
+        * the nodes' quadrature and rounding bounds pass through the
+          Lebesgue constant;
         * the interpolation error is `interp`;
         * rounding: the longdouble transform and the coefficients'
           rounding to double, Clenshaw's local errors (|b_k| <=
@@ -428,18 +431,14 @@ class _Kernel:
         half = 0.5 * _CHEB_WIDTH
         centres = _CHEB_WIDTH * np.arange(first, stop, dtype=np.float64) + half
         x = centres[:, None] + half * t[None, :]
-        # kernel_values returns k(0) = 1 exactly, not the quadrature that
-        # every other node carries; k is even and smooth, so sampling that
-        # quadrature at x = 1e-100 instead moves k by about 1e-200
-        x[x == 0.0] = 1e-100
         # neighbouring panels share their end nodes: evaluate each once
         xs, inverse = np.unique(x, return_inverse=True)
-        vals, errs = kernel_values(self.p, xs, trunc_target=self.trunc_target)
+        vals, errs = self.direct(xs)
         vals = vals[inverse].reshape(x.shape)
         errs = errs[inverse].reshape(x.shape)
         coeffs = (vals.astype(np.longdouble) @ dct.T).astype(np.float64)
 
-        node = np.max(errs - self.uniform + 4.0 * _U * errs, axis=1)
+        node = np.max(errs, axis=1)
         j = np.arange(n + 1, dtype=np.float64)
         mag = np.abs(coeffs)
         transform = _gamma_n(n + 3, _U_LD) * (np.abs(vals) @ np.abs(dct).astype(np.float64).T).sum(axis=1)

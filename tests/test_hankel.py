@@ -429,6 +429,52 @@ def mpmath_kernel(p, x):
         return float(2 / mpmath.gamma(1 + mpmath.mpf(2) / p) * integral)
 
 
+class TestKernelQuadratureBound:
+    # each radial subpanel takes one 12-node rule, its error certified on
+    # the Bernstein ellipse rho = 5 (hankel._Kernel.direct)
+
+    def test_one_rule_per_subpanel_in_exact_blocks(self, monkeypatch):
+        x = np.linspace(0.0, 120.0, 241)
+        sizes = []
+        real = hk.j0_array
+
+        def counting(z):
+            sizes.append(z.size)
+            return real(z)
+
+        monkeypatch.setattr(hk, "j0_array", counting)
+        hk.kernel_values(4.0, x)
+        cell_w = hk._kernel(4.0, 1e-13).cells[2]
+        # k(0) = 1 takes no quadrature
+        counts = np.maximum(np.ceil(np.outer(x[1:], cell_w) / (0.5 * math.pi)), 1.0).sum(axis=1)
+        assert sum(sizes) == 12 * counts.sum()
+        blocks, filled = 0, math.inf
+        for c in counts:
+            if filled + c > hk._CHUNK_PANELS:
+                blocks, filled = blocks + 1, 0.0
+            filled += c
+        assert len(sizes) == blocks
+
+    @pytest.mark.parametrize("target", [1e-13, 1e-5])
+    @pytest.mark.parametrize("p", [1.0, 1.18, 1.5, 2.3, 4.0, 40.0, 500.0, 1e6, 1e14])
+    def test_ellipse_fits_every_cell(self, p, target):
+        # the bound needs near > 0 and p phi < pi/2 on every subpanel; a
+        # subpanel's near and phi are no worse than its whole cell's
+        _, lo, w = hk._kernel(p, target).cells
+        half = 0.5 * w
+        near = lo + half - 2.6 * half
+        assert np.all(near > 0.0)
+        assert np.all(p * np.arctan(2.4 * half / near) < 0.5 * math.pi)
+
+    @pytest.mark.parametrize("p,xs", [(2.3, (0.7, 10.0, 100.0)), (4.0, (0.7, 10.0, 100.0)),
+                                      (40.0, (0.7, 10.0, 100.0)), (500.0, (0.7, 10.0, 100.0)),
+                                      (1.5, (0.7, 10.0))])
+    def test_direct_err_covers_mpmath(self, p, xs):
+        vals, errs = hk.kernel_values(p, np.array(xs))
+        for xi, v, e in zip(xs, vals, errs):
+            assert abs(v - mpmath_kernel(p, xi)) <= e
+
+
 class TestChebyshevKernelTable:
     @pytest.mark.parametrize("trunc_target", [1e-11, 1e-13])
     @pytest.mark.parametrize("p", TABLE_PS)
@@ -466,7 +512,7 @@ class TestChebyshevKernelTable:
         # the bits of the direct-evaluation engine, within err_bound of the
         # exact A(1, diag 3) = 3/7
         res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), 1e-4)
-        assert (res.value, res.err_bound) == (0.42857140908542257, 1.9352793245316283e-05)
+        assert (res.value, res.err_bound) == (0.42857140908542257, 1.9352793245232237e-05)
         assert abs(res.value - 3.0 / 7.0) <= res.err_bound
         assert res.meta["kernel_nodes"] == 0
 

@@ -41,6 +41,8 @@ from pathlib import Path
 LINES = [
     # quadrature volumes across p
     "volume --p 1 --diag 3 --engine quad --tol 1e-4",
+    # the certified outer bound needs more than the initial panels here
+    "volume --p 1 --diag 3 --engine quad --tol 1e-8",
     "volume --p 1.5 --a 1,0.8,0.6 --engine quad --tol 1e-6",
     "volume --p 2.3 --diag 4 --engine quad --tol 1e-7",
     "volume --p 4 --a 1,0.9,0.7,0.5 --engine quad --tol 1e-8",

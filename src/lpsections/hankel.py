@@ -29,20 +29,19 @@ Error model
   piecewise Chebyshev table (degree 24 on panels of width 2, nodes from
   the radial quadrature).  Each table value carries a certified bound:
   the kernel's x-uniform errors (truncation, flat head) once, the nodes'
-  quadrature and rounding bounds times the Lebesgue constant, the
-  interpolation error from the kernel's maximum on a Bernstein ellipse
-  (Trefethen, ATAP Thm 8.2), and rounding.  Panels whose bound exceeds the kernel
-  target, and every p without a usable bound (p = 1), are evaluated
-  directly.
+  bounds times the Lebesgue constant, the interpolation error (ATAP
+  Thm 8.2, from a bound on |k_p| in a strip, _log_strip_max), and
+  rounding.  Panels whose bound exceeds the kernel target, and p = 1
+  (no usable bound), are evaluated directly.
 * The outer integral is truncated at s_max with a rigorous envelope
-  bound (tail_bound_outer) and integrated adaptively, panel error from
-  comparing 12 with 24 nodes, inner kernel errors propagated through the
-  product rule |d prod| <= sum_j |d k_j| * prod of bounds, and the
-  rounding of the Gamma(1+2/p)/2 prefactor added.  The orders are
-  module constants, not settings.
+  bound (tail_bound_outer) and by one 24-node Gauss-Legendre rule on n
+  equal panels, n the fewest whose certified bound (ATAP Thm 19.3, from
+  the same strip bound) meets the target, found before any kernel value;
+  to it come the rule's rounding, the kernel errors propagated through
+  |d prod| <= sum_j |d k_j| * prod of bounds, and the prefactor's.
 
 The one setting is tol_abs.  A call whose certified bound misses it,
-or that needs more than _PANEL_BUDGET outer panels, raises
+or whose rule bound needs more than _PANEL_BUDGET outer panels, raises
 NonConvergenceError.
 
 Results depend only on the arguments.  The only shared state is two
@@ -97,8 +96,12 @@ class VolumeResult:
 
 # Gauss-Legendre nodes per panel.  Kernel radial subpanels take _GL_ORDER
 # nodes and certify the rule's error on the Bernstein ellipse rho = 5
-# (_Kernel.direct); outer panels take 2 * _GL_ORDER nodes against _GL_ORDER.
+# (_Kernel.direct); outer panels take _OUTER_ORDER nodes, certified on
+# the best ellipse of a fixed grid (_outer_bound).
 _GL_ORDER = 12
+_OUTER_ORDER = 24
+# bounds sum_k |w_k - w_exact_k| for leggauss's weights (55.9 u; nodes within u)
+_OUTER_WEIGHT_ERR = 64.0 * _U
 # ATAP Thm 19.3 at rho = 5, 64/15 rho^(-2 n) / (rho^2 - 1) per unit of
 # M * half-width, doubled for the rounding of the bound itself
 _GL_ELLIPSE_BOUND = 2.0 * 64.0 / 15.0 * 5.0 ** (-2 * _GL_ORDER) / 24.0
@@ -211,13 +214,31 @@ _CHEB_DEGREE = 24
 # Lebesgue constant bound of those points, 1 + (2/pi) ln(n + 1) (Trefethen,
 # Approximation Theory and Approximation Practice, Thm 15.2)
 _CHEB_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_CHEB_DEGREE + 1)
-# Bernstein ellipse parameters tried for the interpolation bound, and the
-# cells per family of the Riemann sum that bounds the kernel on each
-_RHO_GRID = tuple(np.geomspace(1.5, 256.0, 48).tolist())
-_M_CELLS = 512
+# Bernstein ellipse parameters tried for the interpolation and outer bounds
+_RHO_GRID = np.geomspace(1.5, 256.0, 48)
+# splits b r - r^p = (b r - t r^p) - (1 - t) r^p tried by _log_strip_max
+_YOUNG_T = 1.0 - np.geomspace(0.5, 2.0 ** -20, 40)
 # the table's extent: arguments past 2 * _TABLE_MAX_PANELS go direct
 _TABLE_MAX_PANELS = 1 << 16
 _U_LD = float(np.finfo(np.longdouble).epsneg)
+
+
+def _log_strip_max(p: float, b: np.ndarray) -> np.ndarray:
+    """log of a bound on sup |k_p(z)| over |Im z| <= b, for each entry of
+    an array of b > 0 (inf where none is finite).  |J0(w)| <= e^|Im w| gives |k_p(z)|
+    <= 2/Gamma(1+2/p) int_0^inf e^(b r - r^p) r dr.  For p > 1 and
+    0 < t < 1, b r - t r^p is at most (1 - 1/p) b r_t, r_t = (b /
+    (t p))^(1/(p-1)), and e^(-(1-t) r^p) integrates to exactly
+    Gamma(1+2/p)/2 (1-t)^(-2/p); the minimum over _YOUNG_T is returned.
+    At p = inf this is e^b (r_t = 0^0 = 1); at p = 1 the integral is
+    (1 - b)^-2 for b < 1."""
+    if p == 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(b < 1.0, -2.0 * np.log1p(-b), math.inf)
+    t = _YOUNG_T.reshape((-1,) + (1,) * b.ndim)
+    with np.errstate(over="ignore"):
+        r_t = (b / (t * p)) ** (1.0 / (p - 1.0))
+    return np.min(((1.0 - 1.0 / p) * b) * r_t - (2.0 / p) * np.log1p(-t), axis=0)
 
 
 def _interp_bound(p: float) -> float:
@@ -227,52 +248,16 @@ def _interp_bound(p: float) -> float:
     head, where e^-r^p > 1 - 2^-20).
 
     ATAP Thm 8.2 gives |k - q| <= 4 M rho^-n / (rho - 1) when |k| <= M
-    on the Bernstein ellipse E_rho of the panel.  On a panel of half-width
-    1, E_rho lies in the strip |Im z| <= b = (rho - 1/rho)/2, where
-    |J0(w)| <= e^|Im w| gives
-
-        |k(z)| <= M(b) = 2/Gamma(1+2/p) int_0^inf e^(b r - r^p) r dr.
-
-    M(b) is bounded by an upper Riemann sum on [0, R] (monotone factors:
-    e^(b hi - lo^p) hi per cell) plus the tail beyond R = (2b)^(1/(p-1)),
-    where b r <= r^p / 2; the factor 1 + 1e-5 covers the flat head and
-    rounding.  Returns the minimum over a fixed rho grid, or inf when no
-    ellipse gives a finite bound (p = 1: M(b) is finite only for b < 1,
-    and the bound is useless there)."""
+    on the Bernstein ellipse E_rho of the panel, which lies in the strip
+    |Im z| <= (rho - 1/rho)/2 (half-width 1); 1 + 1e-5 covers the flat
+    head and rounding.  The minimum over _RHO_GRID, or inf at p = 1,
+    where the strip bound is finite only for rho < 1 + sqrt(2)."""
     if not p > 1.0:
         return math.inf
-    n = _CHEB_DEGREE
-    grid = np.linspace(0.0, 1.0, _M_CELLS + 1)
-    # edges in units of R, uniform in r and in r^p
-    unit = np.unique(np.concatenate([grid, grid ** (1.0 / p)]))
-    pref = 2.0 / gamma(1.0 + 2.0 / p)
-    best = math.inf
-    for rho in _RHO_GRID:
-        b = 0.5 * (rho - 1.0 / rho)
-        log_r = math.log(2.0 * b) / (p - 1.0)
-        if log_r > 300.0:
-            break  # b grows along the grid, and so does R
-        big_r = math.exp(log_r) * (1.0 + 1e-9)
-        try:
-            big_rp = big_r ** p
-            if not big_r ** (p - 1.0) >= 2.0 * b * (1.0 + 1e-12):
-                continue
-        except OverflowError:
-            continue
-        edges = big_r * unit
-        lo, hi = edges[:-1], edges[1:]
-        with np.errstate(over="ignore"):
-            head = float(np.sum(np.exp(b * hi - lo ** p) * hi * (hi - lo)))
-        if p >= 2.0:
-            # r = r^(p-1) r^(2-p) <= r^(p-1) R^(2-p) for r >= R
-            tail = big_r ** (2.0 - p) * 2.0 / p * math.exp(-0.5 * big_rp)
-        else:
-            # u = r^p / 2 turns the tail into a Gamma(2/p, R^p/2) integral
-            tail = 2.0 ** (2.0 / p) / p * gamma_upper(2.0 / p, 0.5 * big_rp)
-        m = pref * (head + tail) * (1.0 + 1e-5)
-        if math.isfinite(m):
-            best = min(best, 4.0 * m * rho ** -n / (rho - 1.0))
-    return best
+    log_m = _log_strip_max(p, 0.5 * (_RHO_GRID - 1.0 / _RHO_GRID))
+    with np.errstate(over="ignore"):
+        bound = 4.0 * (1.0 + 1e-5) * np.exp(log_m - _CHEB_DEGREE * np.log(_RHO_GRID)) / (_RHO_GRID - 1.0)
+    return float(np.min(bound))
 
 
 def _cheb_basis():
@@ -565,46 +550,71 @@ def tail_bound_outer(p: float, a, s_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 _WAVE_LIMIT = 1500  # panels per evaluation wave (memory control)
-_PANEL_BUDGET = 40000  # outer panels, accepted plus pending, per call
+_PANEL_BUDGET = 40000  # outer panels per call
+
+
+def _outer_bound(p, coeffs, mults, s_max, n):
+    """Error bound of the exact N = _OUTER_ORDER point Gauss-Legendre rule
+    on n equal panels of [0, s_max] for int prod_j k_p(a_j s)^m_j s ds,
+    exact kernels.  A panel (centre mid, half-width h = s_max / (2 n))
+    errs by at most h 64/15 M rho^(-2 N) / (rho^2 - 1) (ATAP Thm 19.3),
+    M the integrand's modulus on its Bernstein ellipse E_rho, where
+    |Im(a_j s)| <= a_j h (rho - 1/rho)/2 (_log_strip_max) and |s| <= mid
+    + h (rho + 1/rho)/2; summed, s_max/2 (s_max/2 + h (rho + 1/rho)/2).
+    Doubled for rounding; min over _RHO_GRID; it does not grow with n."""
+    rho = _RHO_GRID
+    h = 0.5 * s_max / n
+    log_m = mults @ _log_strip_max(p, np.outer(coeffs, 0.5 * h * (rho - 1.0 / rho)))
+    reach = 0.5 * s_max * (0.5 * s_max + 0.5 * h * (rho + 1.0 / rho))
+    with np.errstate(over="ignore"):
+        bound = 2.0 * 64.0 / 15.0 * np.exp(log_m - 2 * _OUTER_ORDER * np.log(rho)) * reach / (rho * rho - 1.0)
+    return float(np.min(bound))
 
 
 def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
-    order = _GL_ORDER
-    g1, w1 = _gl_nodes(order)
-    g2, w2 = _gl_nodes(2 * order)
+    """(sum, rule and rounding bound, propagated kernel error, panels,
+    kernel points, table nodes added, interpolation bound) on the fewest
+    equal panels, n_init or more, whose _outer_bound meets tol_quad
+    (doubling, then bisection).  Rounding: a node is within ds = 4 u (mid
+    + half) of the exact one and an argument within a_j (ds + u s), which
+    moves k_p by at most `slope` >= |k_p'| (2/Gamma(1+2/p) max|J1|
+    int r^2 e^-r^p dr) times that, a kernel error; the weights move a panel
+    sum by _OUTER_WEIGHT_ERR max|f|; products and sums take gamma_(N+2g+4)."""
     freq = float(np.sum(coeffs * mults))
     n_init = int(min(1024, max(6, math.ceil(s_max * freq / (2.0 * math.pi)))))
-    edges = np.linspace(0.0, s_max, n_init + 1)
-    # the queue: panel edges in order; accepted panels' sums, estimates and
-    # propagated errors collect in waves (fsum is exactly rounded, so the
-    # totals do not depend on the order of collection)
-    queue_lo, queue_hi = edges[:-1], edges[1:]
-    accepted = []
-    n_accepted = 0
-    evals = nodes = 0
-    interp_bound = 0.0
-    min_width = s_max * 1e-12
+    # bound(fail) > tol_quad or fail < n_init; then bound = bound(n) <= tol_quad
+    fail, n = n_init - 1, n_init
+    while n > _PANEL_BUDGET or (bound := _outer_bound(p, coeffs, mults, s_max, n)) > tol_quad:
+        if n >= _PANEL_BUDGET:
+            raise NonConvergenceError(f"outer panel budget {_PANEL_BUDGET} exhausted ({n_init} to start)")
+        fail, n = n, min(2 * n, _PANEL_BUDGET)
+    while n - fail > 1:
+        half_way = (fail + n) // 2
+        trial = _outer_bound(p, coeffs, mults, s_max, half_way)
+        if trial > tol_quad:
+            fail = half_way
+        else:
+            n, bound = half_way, trial
+    g, w = _gl_nodes(_OUTER_ORDER)
+    gam = _gamma_n(_OUTER_ORDER + 2 * coeffs.size + 4, _U)
+    slope = 2.0 * J1_MAX_BOUND * gamma(1.0 + 3.0 / p) / (3.0 * gamma(1.0 + 2.0 / p))
+    edges = np.linspace(0.0, s_max, n + 1)
     kernel = _kernel(p, trunc_target)
-
-    while queue_lo.size:
-        if n_accepted + queue_lo.size > _PANEL_BUDGET:
-            raise NonConvergenceError(
-                f"outer panel budget {_PANEL_BUDGET} exhausted "
-                f"({n_accepted} accepted, {queue_lo.size} pending)"
-            )
-        lo, queue_lo = queue_lo[:_WAVE_LIMIT], queue_lo[_WAVE_LIMIT:]
-        hi, queue_hi = queue_hi[:_WAVE_LIMIT], queue_hi[_WAVE_LIMIT:]
+    # panel sums, propagated errors and rounding bounds collect in waves
+    # (fsum is exactly rounded, so the totals do not depend on the waves)
+    sums, props, rounds = [], [], []
+    nodes, interp_bound = 0, 0.0
+    for start in range(0, n, _WAVE_LIMIT):
+        lo, hi = edges[start:n][:_WAVE_LIMIT], edges[start + 1:][:_WAVE_LIMIT]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        n_pan = lo.size
-        s_all = np.concatenate([(mid[:, None] + half[:, None] * g[None, :]).ravel() for g in (g1, g2)])
-        x_all = (coeffs[:, None] * s_all[None, :]).ravel()
-        kv, ke, added, interp = kernel.lookup(x_all)
-        evals += x_all.size
+        s_all = (mid[:, None] + half[:, None] * g[None, :]).ravel()
+        kv, ke, added, interp = kernel.lookup((coeffs[:, None] * s_all[None, :]).ravel())
         nodes += added
         interp_bound = max(interp_bound, interp)
+        ds = np.repeat(4.0 * _U * (mid + half), _OUTER_ORDER)
         kv = kv.reshape(coeffs.size, s_all.size)
-        ke = ke.reshape(coeffs.size, s_all.size)
+        ke = ke.reshape(coeffs.size, s_all.size) + slope * coeffs[:, None] * (ds + _U * s_all)
         prod = np.prod(kv ** mults[:, None], axis=0)
         # floor keeps an exactly-zero kernel value (possible at p = inf,
         # where ke is 0 as well) from producing 0/0 in the exclusion ratio
@@ -613,24 +623,13 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
         prop = np.zeros_like(prod)
         for i in range(coeffs.size):
             prop += mults[i] * ke[i] * prod_bound / bounds[i]
-        f_all = prod * s_all
-        e_all = prop * s_all
-
-        k1 = n_pan * order
-        f1 = (f_all[:k1].reshape(n_pan, order) * w1[None, :]).sum(axis=1) * half
-        f2 = (f_all[k1:].reshape(n_pan, 2 * order) * w2[None, :]).sum(axis=1) * half
-        p2 = (e_all[k1:].reshape(n_pan, 2 * order) * w2[None, :]).sum(axis=1) * half
-        est = np.abs(f2 - f1)
-        tol_panel = tol_quad * (hi - lo) / s_max
-        accept = (est <= tol_panel) | (hi - lo <= min_width)
-        accepted.append(np.stack([f2[accept], est[accept], p2[accept]]))
-        n_accepted += int(np.count_nonzero(accept))
-        # a rejected panel [lo, hi] becomes [lo, mid], [mid, hi] at the back
-        split = ~accept
-        queue_lo = np.concatenate([queue_lo, np.stack([lo[split], mid[split]], axis=1).ravel()])
-        queue_hi = np.concatenate([queue_hi, np.stack([mid[split], hi[split]], axis=1).ravel()])
-    total, quad_est, prop = (math.fsum(row) for row in np.concatenate(accepted, axis=1))
-    return total, quad_est, prop, n_accepted, evals, nodes, interp_bound
+        sums.append(((prod * s_all).reshape(lo.size, _OUTER_ORDER) * w[None, :]).sum(axis=1) * half)
+        props.append(((prop * s_all).reshape(lo.size, _OUTER_ORDER) * w[None, :]).sum(axis=1) * half)
+        mag = (prod_bound * (s_all + ds)).reshape(lo.size, _OUTER_ORDER)
+        rounds.append((mag @ (gam * w) + _OUTER_WEIGHT_ERR * mag.max(axis=1)
+                         + (prod_bound * ds).reshape(mag.shape) @ w) * half)
+    total, prop, rounding = (math.fsum(np.concatenate(parts)) for parts in (sums, props, rounds))
+    return total, bound + rounding, prop, n, _OUTER_ORDER * n * coeffs.size, nodes, interp_bound
 
 
 def _auto_s_max(p, a, prefactor, tol_abs):
@@ -653,9 +652,9 @@ def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResul
     Directions with one or two nonzero coordinates are routed to the
     exact closed forms (engine tag "closed_form").  Otherwise the outer
     integral runs to a cutoff certified by tail_bound_outer and the
-    total err_bound (tail + quadrature estimate + propagated kernel
-    error) is checked against tol_abs, which must be finite and positive
-    on either route.
+    total err_bound (tail, outer rule and rounding bound, propagated
+    kernel error, prefactor rounding) is checked against tol_abs, which
+    must be finite and positive on either route.
     """
     if not 0.0 < tol_abs < math.inf:
         raise ValueError(f"tol_abs must be finite and positive, got {tol_abs!r}")
@@ -675,13 +674,13 @@ def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResul
     # without paying full depth at loose tolerances
     trunc_target = min(tol_abs / 10.0, max(1e-13, tol_abs * 1e-5))
     tol_quad = 0.375 * tol_abs / prefactor
-    total, quad_est, inner_prop, n_panels, evals, nodes, interp = _outer_adaptive(
+    total, quad_bound, inner_prop, n_panels, evals, nodes, interp = _outer_adaptive(
         p, coeffs, mults, s_max, tol_quad, trunc_target
     )
     value = prefactor * total
     # Gamma(1+2/p) and the product with it round; at p = inf the factor 1/2 is exact
     pref_err = 0.0 if math.isinf(p) else _PREF_REL_ERR * abs(value)
-    err = tail + prefactor * (quad_est + inner_prop) + pref_err
+    err = tail + prefactor * (quad_bound + inner_prop) + pref_err
     meta = {
         "s_max": s_max,
         "panels": n_panels,
@@ -689,14 +688,14 @@ def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResul
         "kernel_nodes": nodes,
         "kernel_interp_bound": interp,
         "tail_bound": tail,
-        "quadrature_estimate": prefactor * quad_est,
+        "quadrature_bound": prefactor * quad_bound,
         "kernel_error_propagated": prefactor * inner_prop,
         "prefactor_error": pref_err,
     }
     if err > tol_abs:
         raise NonConvergenceError(
             f"certified error {err:.3e} exceeds tol_abs {tol_abs:.3e} at s_max {s_max:.6g}: "
-            f"tail {tail:.3e}, quadrature {meta['quadrature_estimate']:.3e}, "
+            f"tail {tail:.3e}, quadrature {meta['quadrature_bound']:.3e}, "
             f"propagated kernel error {meta['kernel_error_propagated']:.3e}, "
             f"prefactor {pref_err:.3e}"
         )

@@ -343,68 +343,147 @@ class TestSectionVolume:
         with pytest.raises(hk.NonConvergenceError, match="p=1e\\+20"):
             hk.section_volume_quadrature(1e20, Direction.diagonal(3))
 
+    @staticmethod
+    def no_lookup(self, x):
+        raise AssertionError("kernel lookup before the panel budget check")
+
     def test_panel_budget_exhaustion(self, monkeypatch):
+        # raised before any kernel lookup: n_init is 9
         monkeypatch.setattr(hk, "_PANEL_BUDGET", 4)
-        with pytest.raises(hk.NonConvergenceError, match="panel budget 4"):
+        monkeypatch.setattr(hk._Kernel, "lookup", self.no_lookup)
+        with pytest.raises(hk.NonConvergenceError, match="panel budget 4 "):
             hk.section_volume_quadrature(4.0, Direction.diagonal(3), 1e-6)
 
-
-def outer_adaptive_loop(p, coeffs, mults, s_max, tol_quad, trunc_target):
-    """The outer integration with per-panel Python bookkeeping: a list of
-    (lo, hi) tuples as the queue and three accumulator lists.  Same waves
-    and arithmetic as hankel._outer_adaptive, so the totals must match
-    bit for bit."""
-    order = hk._GL_ORDER
-    g1, w1 = hk._gl_nodes(order)
-    g2, w2 = hk._gl_nodes(2 * order)
-    n_init = int(min(1024, max(6, math.ceil(s_max * float(np.sum(coeffs * mults)) / (2.0 * math.pi)))))
-    edges = np.linspace(0.0, s_max, n_init + 1)
-    pending = list(zip(edges[:-1], edges[1:]))
-    acc_vals, acc_est, acc_prop = [], [], []
-    while pending:
-        assert len(acc_vals) + len(pending) <= hk._PANEL_BUDGET
-        wave, pending = pending[:hk._WAVE_LIMIT], pending[hk._WAVE_LIMIT:]
-        lo = np.array([w[0] for w in wave])
-        hi = np.array([w[1] for w in wave])
-        mid, half, n_pan = 0.5 * (lo + hi), 0.5 * (hi - lo), len(wave)
-        s_all = np.concatenate([(mid[:, None] + half[:, None] * g[None, :]).ravel() for g in (g1, g2)])
-        kv, ke, _, _ = hk._kernel(p, trunc_target).lookup((coeffs[:, None] * s_all[None, :]).ravel())
-        kv, ke = kv.reshape(coeffs.size, -1), ke.reshape(coeffs.size, -1)
-        bounds = np.maximum(np.minimum(1.0, np.abs(kv) + ke), 1e-300)
-        prod_bound = np.prod(bounds ** mults[:, None], axis=0)
-        prop = np.zeros_like(s_all)
-        for i in range(coeffs.size):
-            prop += mults[i] * ke[i] * prod_bound / bounds[i]
-        f_all = np.prod(kv ** mults[:, None], axis=0) * s_all
-        k1 = n_pan * order
-        f1 = (f_all[:k1].reshape(n_pan, order) * w1[None, :]).sum(axis=1) * half
-        f2 = (f_all[k1:].reshape(n_pan, 2 * order) * w2[None, :]).sum(axis=1) * half
-        p2 = ((prop * s_all)[k1:].reshape(n_pan, 2 * order) * w2[None, :]).sum(axis=1) * half
-        est = np.abs(f2 - f1)
-        accept = (est <= tol_quad * (hi - lo) / s_max) | (hi - lo <= s_max * 1e-12)
-        for j in range(n_pan):
-            if accept[j]:
-                acc_vals.append(float(f2[j]))
-                acc_est.append(float(est[j]))
-                acc_prop.append(float(p2[j]))
-            else:
-                m = float(mid[j])
-                pending += [(float(lo[j]), m), (m, float(hi[j]))]
-    return math.fsum(acc_vals), math.fsum(acc_est), math.fsum(acc_prop), len(acc_vals)
+    def test_panel_budget_below_the_rule_bound(self, monkeypatch):
+        # n_init is 44, but the rule bound needs 51 panels
+        monkeypatch.setattr(hk, "_PANEL_BUDGET", 48)
+        monkeypatch.setattr(hk._Kernel, "lookup", self.no_lookup)
+        with pytest.raises(hk.NonConvergenceError, match="panel budget 48 "):
+            hk.section_volume_quadrature(1.0, Direction.diagonal(3), 1e-8)
 
 
-class TestOuterQueue:
-    @pytest.mark.parametrize("p,a,tol", [(4.0, [1.0, 0.8, 0.6], 1e-9), (INF, [1.0, 1.0, 1.0], 1e-8),
-                                         (2.3, [1.0, 1.0, 1.0, 1.0], 1e-7)])
-    def test_matches_per_panel_loop(self, p, a, tol):
+def mpmath_gauss_legendre(order):
+    """Gauss-Legendre nodes and weights to 40 digits: numpy's nodes
+    refined by Newton's method on P_order."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x0 in np.polynomial.legendre.leggauss(order)[0]:
+            x = mpmath.mpf(x0)
+            for _ in range(5):
+                d = order * (x * mpmath.legendre(order, x) - mpmath.legendre(order - 1, x)) / (x * x - 1)
+                x -= mpmath.legendre(order, x) / d
+            d = order * (x * mpmath.legendre(order, x) - mpmath.legendre(order - 1, x)) / (x * x - 1)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * d * d))
+    return nodes, weights
+
+
+def outer_grouped(d):
+    return np.array([g[0] for g in d.grouped()]), np.array([g[1] for g in d.grouped()])
+
+
+class TestOuterBound:
+    # one 24-node rule per equal outer panel, its error certified on
+    # Bernstein ellipses (hankel._outer_bound) before any kernel value
+
+    @pytest.mark.parametrize("p", [1.0, 1.0001, 1.05, 1.18, 1.5, 2.0, 4.0, 40.0, 1e6])
+    def test_strip_max_covers_mpmath(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        bs = np.array([0.05, 0.3, 0.9, 2.0, 5.0])
+        got = hk._log_strip_max(p, bs)
+        for b, log_m in zip(bs, got):
+            if not math.isfinite(log_m):
+                assert p < 1.1 and b > 0.5  # only where the integral is out of reach
+                continue
+            with mpmath.workdps(30):
+                # cut the range at the Laplace centre and widths of
+                # e^(b r - r^p) and around r = 1; for p >= 2 and b <= 5,
+                # b r - r^p < -170 past 1 + 30/p
+                end = mpmath.inf if p < 2 else 1 + mpmath.mpf(30) / p
+                if p == 1.0:
+                    cuts = [mpmath.mpf(0), end]
+                else:
+                    peak = (mpmath.mpf(b) / p) ** (1 / mpmath.mpf(p - 1))
+                    width = min(1, 1 / mpmath.sqrt(p * (p - 1) * peak ** (p - 2)))
+                    pts = [peak + k * width for k in range(-40, 41)]
+                    pts += [1 + mpmath.mpf(k) / p for k in (-30, -10, -3, -1, 0, 1, 3, 10, 30)]
+                    cuts = sorted({mpmath.mpf(0), end} | {c for c in pts if 0 < c < end})
+                integral = mpmath.quad(lambda r: mpmath.exp(b * r - r ** p) * r, cuts)
+                exact = mpmath.log(2 * integral / mpmath.gamma(1 + mpmath.mpf(2) / p))
+            assert log_m >= float(exact)
+        assert np.array_equal(hk._log_strip_max(INF, bs), bs)
+
+    @pytest.mark.parametrize("p,a,s_max,ns", [
+        (1.0, [1.0, 1.0, 1.0], 30.0, (5, 8)),
+        (1.0, [1.0, 0.8, 0.6], 30.0, (5, 8)),
+        (INF, [1.0, 1.0, 1.0], 30.0, (1, 2, 3)),
+        (INF, [1.0, 0.8, 0.6], 30.0, (1, 2)),
+    ])
+    def test_rule_bound_covers_mpmath(self, p, a, s_max, ns):
+        # exact kernels: k_1 = (1 + x^2)^(-3/2), k_inf = 2 J1(x)/x; every
+        # n is below n_init = ceil(s_max sum_j a_j m_j / (2 pi))
+        mpmath = pytest.importorskip("mpmath")
+        coeffs, mults = outer_grouped(Direction(a))
+        assert max(ns) < math.ceil(s_max * float(np.sum(coeffs * mults)) / (2.0 * math.pi))
+        nodes, weights = mpmath_gauss_legendre(24)
+        with mpmath.workdps(40):
+            def kernel(x):
+                return (1 + x * x) ** mpmath.mpf(-1.5) if p == 1.0 else 2 * mpmath.besselj(1, x) / x
+
+            def f(s):
+                return mpmath.fprod(kernel(mpmath.mpf(c) * s) ** int(m) for c, m in zip(coeffs, mults)) * s
+
+            exact = mpmath.quad(f, mpmath.linspace(0, s_max, 61))
+            for n in ns:
+                h = mpmath.mpf(s_max) / (2 * n)
+                rule = h * mpmath.fsum(w * f((2 * i + 1) * h + h * x)
+                                       for i in range(n) for x, w in zip(nodes, weights))
+                assert hk._outer_bound(p, coeffs, mults, s_max, n) >= abs(rule - exact)
+
+    def test_leggauss_within_stated_rounding(self):
+        # the rounding bound takes numpy's 24-node rule to be within u of
+        # the exact nodes, its weights within _OUTER_WEIGHT_ERR in sum
+        g, w = hk._gl_nodes(24)
+        nodes, weights = mpmath_gauss_legendre(24)
+        assert max(abs(float(x - y)) for x, y in zip(g, nodes)) <= hk._U
+        assert sum(abs(float(x - y)) for x, y in zip(w, weights)) <= hk._OUTER_WEIGHT_ERR
+
+    def test_panel_count_is_minimal(self):
+        # p = 1, diag 3: A = 3/7; the certificate needs more than n_init
+        d = Direction.diagonal(3)
+        res = hk.section_volume_quadrature(1.0, d, 1e-8)
+        coeffs, mults = outer_grouped(d)
+        s_max, n = res.meta["s_max"], res.meta["panels"]
+        tol_quad = 0.375 * 1e-8 / (0.5 * gamma(3.0))
+        n_init = math.ceil(s_max * float(np.sum(coeffs * mults)) / (2.0 * math.pi))
+        assert (n_init, n) == (44, 51)
+        assert hk._outer_bound(1.0, coeffs, mults, s_max, n) <= tol_quad
+        assert hk._outer_bound(1.0, coeffs, mults, s_max, n - 1) > tol_quad
+        assert abs(res.value - 3.0 / 7.0) <= res.err_bound
+        assert res.meta["kernel_evals"] == 24 * n * len(d.grouped())
+
+    @pytest.mark.parametrize("p,a", [(4.0, [1.0, 0.9, 0.9, 0.5]), (INF, [1.0, 0.8, 0.6])])
+    def test_one_rule_per_panel(self, p, a):
         d = Direction(a)
-        coeffs = np.array([g[0] for g in d.grouped()])
-        mults = np.array([g[1] for g in d.grouped()])
-        s_max = 30.0
-        args = (p, coeffs, mults, s_max, 1e-3 * tol, min(tol / 10.0, max(1e-13, tol * 1e-5)))
-        got = hk._outer_adaptive(*args)
-        assert got[3] > 6  # some panels were split
-        assert got[:4] == outer_adaptive_loop(*args)
+        res = hk.section_volume_quadrature(p, d, 1e-7)
+        assert res.meta["kernel_evals"] == 24 * res.meta["panels"] * len(d.grouped())
+
+    def test_rounding_is_bounded(self):
+        # at p = inf the kernels are exact and the rule's bound is ~1e-50,
+        # so only the rounding bound keeps err_bound above the true error
+        mpmath = pytest.importorskip("mpmath")
+        d = Direction.diagonal(12)
+        with pytest.raises(hk.NonConvergenceError, match="certified error"):
+            hk.section_volume_quadrature(INF, d, 1e-15)
+        res = hk.section_volume_quadrature(INF, d, 1e-12)
+        s_max = res.meta["s_max"]
+        with mpmath.workdps(30):
+            a = 1 / mpmath.sqrt(12)
+            integral = mpmath.quad(lambda s: (2 * mpmath.besselj(1, a * s) / (a * s)) ** 12 * s,
+                                   mpmath.linspace(0, s_max, int(s_max) + 1))
+            err = abs(res.value - integral / 2)
+        assert err > 1e-16 and err <= res.err_bound - res.meta["tail_bound"]
 
 
 class TestCrossEngineLight:
@@ -415,7 +494,7 @@ class TestCrossEngineLight:
         assert abs(q.value - m.value) <= 4.0 * m.err_bound + q.err_bound
 
 
-TABLE_PS = (1.5, 2.3, 3.0, 4.0, 7.5, 9.0, 40.0, 140.0, 500.0)
+TABLE_PS = (1.5, 2.3, 3.0, 4.0, 7.5, 9.0, 40.0, 140.0, 500.0, 1e13)
 
 
 def mpmath_kernel(p, x):
@@ -512,7 +591,7 @@ class TestChebyshevKernelTable:
         # the bits of the direct-evaluation engine, within err_bound of the
         # exact A(1, diag 3) = 3/7
         res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), 1e-4)
-        assert (res.value, res.err_bound) == (0.42857140908542257, 1.9352793245232237e-05)
+        assert (res.value, res.err_bound) == (0.42857140908542257, 1.9349075758914926e-05)
         assert abs(res.value - 3.0 / 7.0) <= res.err_bound
         assert res.meta["kernel_nodes"] == 0
 

@@ -15,14 +15,15 @@ diff of two runs:
     diff parent.txt change.txt
 
 The list covers every engine and subcommand: quadrature volumes from
-p = 1 to inf, Monte Carlo volumes (odd and even n, finite p and
-p = inf) and closed forms (finite p and p = inf), a direction whose sum
-of squares underflows, the usage (2) and non-convergence (3) exits,
-a kernel grid whose step is not dyadic, a crossing scan, the Lipschitz
-suite, four clt tables (one at p = inf, one whose batches span
-several chunks), and the optimizer on n = 2 (closed forms only)
-and n = 3 (quadrature).  It runs in under a minute on two
-cores.  Standard library only.
+p = 1 to inf (one whose kernel skips its table), Monte Carlo volumes
+(odd and even n, finite p and p = inf) and closed forms (finite p and
+p = inf), a direction whose sum of squares underflows, the usage (2)
+and non-convergence (3) exits, a kernel grid whose step is not dyadic,
+a kernel whose cutoff the truncation bound decides, a crossing scan,
+the Lipschitz suite, four clt tables (one at p = inf, one whose batches
+span several chunks), and the optimizer on n = 2 (closed forms only)
+and n = 3 (quadrature).  It runs in under a minute on two cores.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ LINES = [
     "volume --p 1 --diag 3 --engine quad --tol 1e-4",
     # the certified outer bound needs more than the initial panels here
     "volume --p 1 --diag 3 --engine quad --tol 1e-8",
+    # every table panel would miss the kernel target here: all points go direct
+    "volume --p 1.13 --diag 3 --engine quad --tol 1e-4",
     "volume --p 1.5 --a 1,0.8,0.6 --engine quad --tol 1e-6",
     "volume --p 2.3 --diag 4 --engine quad --tol 1e-7",
     "volume --p 4 --a 1,0.9,0.7,0.5 --engine quad --tol 1e-8",
@@ -75,6 +78,8 @@ LINES = [
     "volume --p 4 --a 1e-200,1e-200,1e-200 --engine quad --tol 1e-6",
     # the other subcommands
     "kernel --p 7.3 --s-max 12.1 --step 0.3",
+    # a kernel target met with little room: the truncation bound sets r_max
+    "kernel --p 1.461 --s-max 6 --step 0.5 --tol 2e-7",
     "crossing --p 9 --n-max 8 --tol 1e-5",
     "verify --suite lipschitz",
     "clt --p 4 --n-list 2,8 --samples 20000 --seed 3",

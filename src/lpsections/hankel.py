@@ -15,8 +15,8 @@ envelope tail integral diverges, and exact values exist anyway).
 
 Error model
 -----------
-* Kernel truncation at r_max is certified analytically:
-  |tail| <= 2/Gamma(1+2/p) * 1/p * gamma_upper(2/p, r_max^p).
+* Kernel truncation at r_max is certified in closed form: with s = 2/p, X =
+  r_max^p, |tail| <= 2/(Gamma(1+2/p) p) X^(s-1) e^-X (1 + max(s-1, 0)/X).
 * Kernel quadrature error is certified: radial cells graded dyadically
   in u = r^p (so the weight varies by at most one octave per cell,
   whatever p) are subdivided to quarter-period width (so each panel sees
@@ -31,8 +31,8 @@ Error model
   the kernel's x-uniform errors (truncation, flat head) once, the nodes'
   bounds times the Lebesgue constant, the interpolation error (ATAP
   Thm 8.2, from a bound on |k_p| in a strip, _log_strip_max), and
-  rounding.  Panels whose bound exceeds the kernel target, and p = 1
-  (no usable bound), are evaluated directly.
+  rounding.  Panels whose bound exceeds the kernel target go direct, and
+  no table is built where the uniform and interpolation terms alone do.
 * The outer integral is truncated at s_max with a rigorous envelope
   bound (tail_bound_outer) and by one 24-node Gauss-Legendre rule on n
   equal panels, n the fewest whose certified bound (ATAP Thm 19.3, from
@@ -62,7 +62,7 @@ import numpy as np
 
 from .closedform import section_value
 from .direction import canonicalize, validate_exponent
-from .specfun import GAMMA_REL_ERR, gamma, gamma_upper, j0_array, j1_array
+from .specfun import GAMMA_REL_ERR, gamma, j0_array, j1_array
 
 # Upper bound for |J1| everywhere (the envelope constant M).
 J1_MAX_BOUND = 0.5819
@@ -121,18 +121,29 @@ def _j1_normalized(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trunc_radius(p: float, target: float) -> tuple[float, float]:
-    """Kernel cutoff r_max with a certified truncation bound <= target.
+def _log_tail_bound(p: float, x: float) -> float:
+    """log of a bound on 2/Gamma(1+2/p) * 1/p * Gamma(s, X), s = 2/p <= 2, for X
+    = x (1 + eta), |eta| <= 2u, x >= 1: u^(s-1) <= X^(s-1) on [X, inf) if s <= 1
+    (DLMF 8.10.1), else Gamma(s, X) = X^(s-1) e^-X + (s-1) Gamma(s-1, X) (8.8.2)."""
+    s = 2.0 / p
+    a = math.log(2.0 / gamma(1.0 + s) / p * (1.0 + max(s - 1.0, 0.0) / x))
+    b = (s - 1.0) * math.log(x)
+    # the last term covers _PREF_REL_ERR + 6u for the log's argument, 2u |a|
+    # for the log, 3u (x + |b|) for b, 3u (|a| + |b| + x) for the additions,
+    # 2u x + 4u for eta and 2u for the caller's exp (log, pow, exp within an ulp)
+    return a + b - x + _PREF_REL_ERR + 8.0 * _U * (2.0 + abs(a) + abs(b) + x)
 
-    Start from r_max = (ln(C/target))^(1/p) with C = 4/Gamma(1+2/p) and
-    inflate until gamma_upper certifies the bound.
-    """
+
+def _trunc_radius(p: float, target: float) -> tuple[float, float]:
+    """Kernel cutoff r_max and truncation bound cert, log cert <= log target:
+    X = r_max^p grows by 1.15 from max(ln(4/(Gamma(1+2/p) target)), 1)."""
     g2 = gamma(1.0 + 2.0 / p)
     big_x = max(math.log(4.0 / (g2 * target)), 1.0)
     for _ in range(80):
-        bound = 2.0 / g2 / p * gamma_upper(2.0 / p, big_x)
-        if bound <= target:
-            return big_x ** (1.0 / p), bound
+        r_max = big_x ** (1.0 / p)
+        log_bound = _log_tail_bound(p, r_max ** p)
+        if log_bound <= math.log(target):
+            return r_max, math.exp(log_bound)
         big_x *= 1.15
     raise NonConvergenceError(f"cannot certify kernel truncation at p={p}, target={target}")
 
@@ -304,7 +315,7 @@ class _Kernel:
     radial quadrature `direct`, the interpolation bound `interp`
     (_interp_bound), and a piecewise Chebyshev table filled panel by
     panel on demand.  At p = inf (a closed form) it holds only the empty
-    table and interp = inf, so that lookup never reads the table.
+    table, uniform = 0 and interp = inf, so that lookup never reads it.
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
@@ -318,7 +329,7 @@ class _Kernel:
         self.p, self.trunc_target = p, trunc_target
         self.state = (np.empty((_CHEB_DEGREE + 1, 0)), np.empty(0))
         if math.isinf(p):
-            self.interp = math.inf
+            self.uniform, self.interp = 0.0, math.inf
             return
         r_max, self.cert = _trunc_radius(p, trunc_target)
         # octaves of dyadic radial cells below u = r^p = 1 (see _weight_cells)
@@ -436,13 +447,13 @@ class _Kernel:
 
     def lookup(self, x: np.ndarray):
         """(values, errors, nodes added, interpolation bound or 0.0 if no
-        value came from the table) for nonnegative finite x.  Kernels
-        without a usable interpolation bound (interp = inf: p = inf, a
-        closed form, and p = 1, no usable ellipse) go to kernel_values
-        directly, and so do points on panels without a certified fit or
-        past the table's extent."""
+        value came from the table) for nonnegative finite x.  Kernels on
+        which every panel's bound, at least uniform + interp, would miss
+        trunc_target (p = inf, a closed form; p = 1, no usable ellipse; p
+        near 1 at tight targets) go to kernel_values directly, and so do
+        points on panels without a certified fit or past the table's extent."""
         past = x >= _CHEB_WIDTH * _TABLE_MAX_PANELS
-        if not self.interp <= self.trunc_target or np.all(past):
+        if not self.uniform + self.interp <= self.trunc_target or np.all(past):
             kv, ke = kernel_values(self.p, x, trunc_target=self.trunc_target)
             return kv, ke, 0, 0.0
         # past points read panel 0 and go direct: they must not grow the table

@@ -9,15 +9,13 @@ so concurrent use is safe.  Accuracy contracts:
     j0/j1_array absolute error <= 1e-13 for |x| <= 50, <= 1e-10 beyond;
                 J1 relative error <= 1e-15 for |x| <= 1e-2; J0(0) = 1 and
                 J1(0) = 0 exactly; NaN in, NaN out
-    gamma_upper relative error <= 1e-10
 
 Algorithms: the standard library's math.gamma for Gamma (within 8.1e-16
 relative of mpmath on a dense grid of (0, 5]); asymptotic series plus
 downward recurrence for digamma; for J0/J1 the power series up to x = 2, a
 piecewise polynomial table on (2, 16] (degree 13 per interval of width
 1/2, interpolating the power series summed in 128-bit fixed-point
-integers) and the Hankel asymptotic expansion above; series / Lentz
-continued fraction for the upper incomplete gamma.
+integers) and the Hankel asymptotic expansion above.
 """
 
 from __future__ import annotations
@@ -222,57 +220,3 @@ def j1_array(x) -> np.ndarray:
     """Vectorized J1 (odd in x)."""
     return _j_array(np.asarray(x, dtype=np.float64), 1)
 
-
-# ---------------------------------------------------------------------------
-# Upper incomplete gamma
-# ---------------------------------------------------------------------------
-
-_IG_EPS = 1e-15
-_IG_MAX_ITER = 400
-
-
-def _lower_gamma_series(s: float, x: float) -> float:
-    # gamma(s, x) = x^s e^-x sum x^n / (s (s+1) ... (s+n))
-    term = 1.0 / s
-    total = term
-    for n in range(1, _IG_MAX_ITER):
-        term *= x / (s + n)
-        total += term
-        if abs(term) < abs(total) * _IG_EPS:
-            break
-    return total * math.exp(-x + s * math.log(x))
-
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    # Lentz continued fraction for Gamma(s, x), x > s + 1.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _IG_MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _IG_EPS:
-            break
-    return math.exp(-x + s * math.log(x)) * h
-
-
-def gamma_upper(s: float, x: float) -> float:
-    """Unnormalized upper incomplete gamma, int_x^inf u^(s-1) e^-u du."""
-    if s <= 0.0 or x < 0.0:
-        raise ValueError(f"gamma_upper requires s > 0 and x >= 0, got s={s}, x={x}")
-    if x == 0.0:
-        return gamma(s)
-    if x < s + 1.0:
-        return gamma(s) - _lower_gamma_series(s, x)
-    return _upper_gamma_cf(s, x)

@@ -554,6 +554,43 @@ class TestKernelQuadratureBound:
             assert abs(v - mpmath_kernel(p, xi)) <= e
 
 
+class TestTruncationBound:
+    # the kernel truncation tail 2/(Gamma(1+2/p) p) Gamma(2/p, r_max^p) is
+    # bounded in closed form (hankel._log_tail_bound), not approximated
+
+    @staticmethod
+    def mpmath_tail(p, big_x):
+        mpmath = pytest.importorskip("mpmath")
+        s = mpmath.mpf(2) / p
+        return 2 / (mpmath.gamma(1 + s) * p) * mpmath.gammainc(s, big_x)
+
+    def test_closed_form_covers_mpmath(self):
+        # s = 1 and s = 2 at X = 5, 40, 60 (and s = 2 at X = 2, 20, 30):
+        # there the inequality is an equality, and without its eps the
+        # computed bound falls below mpmath
+        mpmath = pytest.importorskip("mpmath")
+        ss = np.concatenate([[2e-6, 1e-3], np.linspace(0.02, 2.0, 34), [1.0, 1.5]])
+        xs = np.unique(np.concatenate([np.geomspace(1.0, 80.0, 19), [2.0, 5.0, 20.0, 30.0, 40.0, 60.0]]))
+        with mpmath.workdps(40):
+            for s in ss:
+                p = 2.0 / float(s)
+                for big_x in xs:
+                    bound = math.exp(hk._log_tail_bound(p, float(big_x)))
+                    assert bound >= self.mpmath_tail(p, mpmath.mpf(float(big_x))), (s, big_x)
+
+    @pytest.mark.parametrize("target", [1e-13, 1e-9, 1e-7, 1e-5])
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.446, 1.461, 1.5, 2.0, 2.3, 4.0, 40.0, 500.0, 1e6, 1e14, 3e15])
+    def test_cert_covers_the_tail_at_r_max(self, p, target):
+        # at large p the rounded r_max^p is far from the X it came from
+        # (31.24 for X = 31.32 at p = 1e14): the bound must hold at r_max
+        mpmath = pytest.importorskip("mpmath")
+        r_max, cert = hk._trunc_radius(p, target)
+        assert hk._kernel(p, target).cert == cert
+        with mpmath.workdps(40):
+            tail = self.mpmath_tail(p, mpmath.mpf(r_max) ** p)
+        assert tail <= cert <= target
+
+
 class TestChebyshevKernelTable:
     @pytest.mark.parametrize("trunc_target", [1e-11, 1e-13])
     @pytest.mark.parametrize("p", TABLE_PS)
@@ -594,6 +631,22 @@ class TestChebyshevKernelTable:
         assert (res.value, res.err_bound) == (0.42857140908542257, 1.9349075758914926e-05)
         assert abs(res.value - 3.0 / 7.0) <= res.err_bound
         assert res.meta["kernel_nodes"] == 0
+
+    def test_every_panel_failing_takes_the_direct_path(self, monkeypatch):
+        # interp alone meets the target here, uniform + interp does not: no
+        # panel could pass, so lookup must not fill a table to reject it
+        kernel = hk._Kernel(1.13, 1e-9)
+        assert kernel.interp <= 1e-9 < kernel.uniform + kernel.interp
+
+        def no_panels(self, first, stop):
+            raise AssertionError("table filled although every panel fails")
+
+        monkeypatch.setattr(hk._Kernel, "_panels", no_panels)
+        x = np.linspace(0.0, 30.0, 61)
+        kv, ke, added, interp = kernel.lookup(x)
+        dv, de = hk.kernel_values(1.13, x, trunc_target=1e-9)
+        assert (added, interp) == (0, 0.0)
+        assert np.array_equal(kv, dv) and np.array_equal(ke, de)
 
     def test_repeat_adds_no_nodes(self):
         d = Direction([1.0, 0.8, 0.6])

@@ -15,7 +15,8 @@ diff of two runs:
     diff parent.txt change.txt
 
 The list covers every engine and subcommand: quadrature volumes from
-p = 1 to inf (one whose kernel skips its table), Monte Carlo volumes
+p = 1 to inf (one whose kernel skips its table, one whose outer tail
+bound leaves a small coordinate out of its power law), Monte Carlo volumes
 (odd and even n, finite p and p = inf) and closed forms (finite p and
 p = inf), a direction whose sum of squares underflows, the usage (2)
 and non-convergence (3) exits, a kernel grid whose step is not dyadic,
@@ -51,6 +52,8 @@ LINES = [
     "volume --p 4 --a 1,0.9,0.7,0.5 --engine quad --tol 1e-8",
     "volume --p 9 --diag 5 --engine quad --tol 1e-6",
     "volume --p 60 --a 1,0.8,0.6 --engine quad --tol 1e-6",
+    # the least outer tail law is a cut that leaves the small coordinate out
+    "volume --p 40 --a 1,1,1,1,1e-3 --engine quad --tol 1e-6",
     "volume --p 140 --diag 6 --engine quad --tol 1e-6",
     "volume --p inf --a 1,0.8,0.6 --engine quad --tol 1e-8 --format json",
     # other engines

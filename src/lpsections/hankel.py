@@ -33,12 +33,14 @@ Error model
   Thm 8.2, from a bound on |k_p| in a strip, _log_strip_max), and
   rounding.  Panels whose bound exceeds the kernel target go direct, and
   no table is built where the uniform and interpolation terms alone do.
-* The outer integral is truncated at s_max with a rigorous envelope
-  bound (tail_bound_outer) and by one 24-node Gauss-Legendre rule on n
-  equal panels, n the fewest whose certified bound (ATAP Thm 19.3, from
-  the same strip bound) meets the target, found before any kernel value;
-  to it come the rule's rounding, the kernel errors propagated through
-  |d prod| <= sum_j |d k_j| * prod of bounds, and the prefactor's.
+* The outer integral is truncated at s_max, the first 4 * 1.3^k where a
+  rigorous envelope bound (tail_bound_outer, the least of a table of
+  power laws, each solved in closed form) meets tol_abs / 2, and
+  integrated by one 24-node Gauss-Legendre rule on n equal panels, n
+  the fewest whose certified bound (ATAP Thm 19.3, from the same strip
+  bound) meets the target, found before any kernel value; to it come
+  the rule's rounding, the kernel errors propagated through |d prod| <=
+  sum_j |d k_j| * prod of bounds, and the prefactor's.
 
 The one setting is tol_abs.  A call whose certified bound misses it,
 or whose rule bound needs more than _PANEL_BUDGET outer panels, raises
@@ -512,46 +514,38 @@ def _envelope_families(p: float):
     return tuple(fams)
 
 
-def tail_bound_outer(p: float, a, s_max: float) -> float:
-    """Rigorous upper bound on int_{s_max}^inf prod_j |k_p(a_j s)| s ds.
+def _tail_laws(p: float, b: np.ndarray):
+    """Arrays (log K, e, s_lo) of the power laws K S^-e that bound
+    int_S^inf prod_j |k_p(b_j s)| s ds for S >= s_lo, b the nonzero
+    coordinates sorted descending: per envelope family (q, C, x_min) and
+    cut m with e = q m - 2 > 0, the m largest take C (b_j s)^-q, valid
+    for S >= x_min / b_m, the rest 1, so K = prod_j<=m C b_j^-q / e.
+    Capping the rest at their envelope values at S gives no less: the
+    caps below 1 form a run m+1 .. m' of b, and taking them into the
+    power law is the law of cut m', which is valid and no larger."""
+    q, c, x_min = (np.array(v)[:, None] for v in zip(*_envelope_families(p)))
+    e = q * np.arange(1, b.size + 1) - 2.0
+    ok = e > 0.0
+    log_k = np.cumsum(np.log(c) - q * np.log(b), axis=1) - np.log(np.where(ok, e, 1.0))
+    return log_k[ok], e[ok], (x_min / b)[ok]
 
-    For each envelope family and each cut m, the m largest coordinates
-    take the power-law factor (closed-form tail integral) and the rest
-    are capped by their envelope value at s_max; the minimum over all
-    valid combinations is returned, or math.inf when that minimum is
-    past the double range.  Requires at least three nonzero coordinates
-    (two-coordinate products decay too slowly for the q=1 envelope to
-    integrate).
-    """
+
+def tail_bound_outer(p: float, a, s_max: float) -> float:
+    """Rigorous upper bound on int_{s_max}^inf prod_j |k_p(a_j s)| s ds:
+    the least law of _tail_laws valid at s_max (the q=1 cut m=3 always
+    is), or math.inf past the double range.  Requires at least three
+    nonzero coordinates (two-coordinate products decay too slowly for
+    the q=1 envelope to integrate)."""
     p = validate_exponent(p)
     a = canonicalize(a)
     if not s_max > 0.0:
         raise ValueError("s_max must be positive")
-    nz = np.array(a.nonzero())
-    r = nz.size
-    if r < 3:
+    b = np.array(a.nonzero())
+    if b.size < 3:
         raise DimensionError("outer tail bound needs at least 3 nonzero coordinates")
-    best_log = math.inf
-    for q, c, x_min in _envelope_families(p):
-        xs = nz * s_max
-        with np.errstate(divide="ignore"):
-            log_env = np.minimum(0.0, math.log(c) - q * np.log(xs))
-        log_env = np.where(xs >= x_min, log_env, 0.0)
-        # suffix sums of the cap logs: caps for indices m..r-1
-        suffix = np.concatenate([np.cumsum(log_env[::-1])[::-1], [0.0]])
-        lead = 0.0  # sum over subset of log(C / a_j^q)
-        for m in range(1, r + 1):
-            lead += math.log(c) - q * math.log(nz[m - 1])
-            if q * m <= 2.0:
-                continue
-            if nz[m - 1] * s_max < x_min:
-                break
-            log_b = lead + suffix[m] + (2.0 - q * m) * math.log(s_max) - math.log(q * m - 2.0)
-            best_log = min(best_log, log_b)
-    if not math.isfinite(best_log):
-        raise NonConvergenceError("no valid envelope combination for the outer tail")
+    log_k, expo, s_lo = _tail_laws(p, b)
     try:
-        return math.exp(best_log)
+        return math.exp(float(np.min((log_k - expo * math.log(s_max))[s_lo <= s_max])))
     except OverflowError:
         return math.inf
 
@@ -643,18 +637,23 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
     return total, bound + rounding, prop, n, _OUTER_ORDER * n * coeffs.size, nodes, interp_bound
 
 
+# the cutoffs s_max may take: 4 * 1.3^k, k < 260, as running products
+_S_GRID = 4.0 * np.multiply.accumulate(np.r_[1.0, np.full(259, 1.3)])
+
+
 def _auto_s_max(p, a, prefactor, tol_abs):
-    """(s_max, prefactor * tail_bound_outer at s_max <= tol_abs / 2)."""
-    s = 4.0
-    for _ in range(260):
-        tail = prefactor * tail_bound_outer(p, a, s)
+    """(s_max, prefactor * tail_bound_outer at s_max <= tol_abs / 2): the
+    first point of _S_GRID at or past the least S where a law of _tail_laws
+    is valid and meets tol_abs / 2, or the next if rounding fails there."""
+    log_k, expo, s_lo = _tail_laws(p, np.array(a.nonzero()))
+    with np.errstate(divide="ignore", over="ignore"):
+        need = np.min(np.maximum(s_lo, np.exp((log_k - np.log(0.5 * tol_abs / prefactor)) / expo)))
+    for s in _S_GRID[min(int(np.searchsorted(_S_GRID, need)), _S_GRID.size - 1):]:
+        tail = prefactor * tail_bound_outer(p, a, float(s))
         if tail <= 0.5 * tol_abs:
-            return s, tail
-        s_tried, s = s, s * 1.3
-    raise NonConvergenceError(
-        f"outer tail bound cannot reach tol_abs/2 = {0.5 * tol_abs:.3e}: "
-        f"tail {tail:.3e} at s_max {s_tried:.6g}, the last tried"
-    )
+            return float(s), tail
+    raise NonConvergenceError(f"outer tail bound cannot reach tol_abs/2 = {0.5 * tol_abs:.3e}: "
+                              f"tail {tail:.3e} at s_max {s:.6g}, the last tried")
 
 
 def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResult:

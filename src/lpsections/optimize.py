@@ -11,6 +11,7 @@ the best accepted value is tracked monotonically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,26 +53,6 @@ def _as_direction(y: np.ndarray) -> Direction:
     w = _weights(y)
     w[w < W_SNAP] = 0.0
     return Direction(np.sqrt(w / w.sum()))
-
-
-class _Objective:
-    """Quadrature objective with memoization on the canonical direction
-    (plateaus from canonicalization would otherwise re-pay the engine).
-    The engine is a module global looked up at each call, so a hook that
-    rebinds it sees every call."""
-
-    def __init__(self, p, tol_abs):
-        self.p = p
-        self.tol_abs = tol_abs
-        self.cache: dict = {}
-
-    def __call__(self, d: Direction) -> VolumeResult:
-        hit = self.cache.get(d)
-        if hit is not None:
-            return hit
-        res = section_volume_quadrature(self.p, d, self.tol_abs)
-        self.cache[d] = res
-        return res
 
 
 def _w_diameter(ys: list[np.ndarray]) -> float:
@@ -161,7 +142,13 @@ def maximize_direction(
         raise ValueError("need n >= 2")
     if budget < n + 2:
         raise ValueError(f"budget must be at least n + 2 = {n + 2} evaluations")
-    obj = _Objective(p, tol / 4.0)
+
+    # memoized on the canonical direction (plateaus from canonicalization
+    # would otherwise re-pay the engine); the engine is a module global
+    # looked up at each miss, so a hook that rebinds it sees every call
+    @functools.lru_cache(maxsize=None)
+    def obj(d: Direction) -> VolumeResult:
+        return section_volume_quadrature(p, d, tol / 4.0)
 
     starts = [Direction.two_equal(n).as_array(), Direction.diagonal(n).as_array()]
     rng = RngStream(seed, 0).generator

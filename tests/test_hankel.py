@@ -190,7 +190,83 @@ class TestEnvelope:
                 assert envelope_refined(p, s) <= q1_envelope(p, s) + 1e-15
 
 
+def capped_tail_bound(p, d, s_max):
+    """The outer tail bound with envelope caps: per envelope family and
+    cut m, the m largest coordinates take the power law and every other
+    one is capped at its envelope value at s_max.  The caps never lower
+    the minimum (hankel._tail_laws), so the engine leaves them out."""
+    nz = np.array(d.nonzero())
+    best_log = INF
+    for q, c, x_min in hk._envelope_families(p):
+        xs = nz * s_max
+        with np.errstate(divide="ignore"):
+            log_env = np.minimum(0.0, math.log(c) - q * np.log(xs))
+        log_env = np.where(xs >= x_min, log_env, 0.0)
+        # suffix sums of the cap logs: caps for indices m..r-1
+        suffix = np.concatenate([np.cumsum(log_env[::-1])[::-1], [0.0]])
+        lead = 0.0
+        for m in range(1, nz.size + 1):
+            lead += math.log(c) - q * math.log(nz[m - 1])
+            if q * m <= 2.0:
+                continue
+            if nz[m - 1] * s_max < x_min:
+                break
+            log_b = lead + suffix[m] + (2.0 - q * m) * math.log(s_max) - math.log(q * m - 2.0)
+            best_log = min(best_log, log_b)
+    return math.exp(best_log)
+
+
+TAIL_PS = (1.0, 1.5, 4.0, 9.0, 60.0, 500.0, INF)
+# on (1, 1, 1, 1, 1e-3) the least law is mostly a cut m = 4, which leaves
+# the small coordinate out of the power law
+TAIL_DIRECTIONS = (Direction.diagonal(3), Direction.diagonal(12), Direction([1.0, 0.8, 0.6]),
+                   Direction([1.0, 0.3, 0.1, 0.02]), Direction([1.0, 1.0, 1.0, 1.0, 1e-3]))
+
+
 class TestTailBound:
+    @pytest.mark.parametrize("p", TAIL_PS)
+    def test_power_laws_match_the_capped_bound(self, p):
+        for d in TAIL_DIRECTIONS:
+            for s in (1.0, 4.0, 30.0, 300.0, 3000.0):
+                capped = capped_tail_bound(p, d, s)
+                assert hk.tail_bound_outer(p, d, s) == pytest.approx(capped, rel=1e-13, abs=0.0)
+
+    def test_grid_is_the_running_products(self):
+        s, grid = 4.0, []
+        for _ in range(260):
+            grid.append(s)
+            s *= 1.3
+        assert np.array_equal(hk._S_GRID, grid)
+
+    @pytest.mark.parametrize("p", TAIL_PS)
+    def test_auto_s_max_matches_a_linear_scan(self, p):
+        # the closed-form solve lands on the grid point a scan of the
+        # capped bound over 4 * 1.3^k finds first
+        prefactor = 0.5 * gamma(1.0 + 2.0 / p)
+        for d in TAIL_DIRECTIONS:
+            for tol in (1e-12, 1e-8, 1e-4, 1e-2):
+                scan = next((float(s) for s in hk._S_GRID
+                             if prefactor * capped_tail_bound(p, d, float(s)) <= 0.5 * tol), None)
+                if scan is None:
+                    with pytest.raises(hk.NonConvergenceError, match="the last tried"):
+                        hk._auto_s_max(p, d, prefactor, tol)
+                    continue
+                s_max, tail = hk._auto_s_max(p, d, prefactor, tol)
+                assert s_max == scan and type(s_max) is float
+                assert tail == prefactor * hk.tail_bound_outer(p, d, s_max) <= 0.5 * tol
+
+    def test_one_tail_bound_per_volume(self, monkeypatch):
+        calls = []
+        real = hk.tail_bound_outer
+
+        def counting(p, a, s_max):
+            calls.append(s_max)
+            return real(p, a, s_max)
+
+        monkeypatch.setattr(hk, "tail_bound_outer", counting)
+        res = hk.section_volume_quadrature(4.0, Direction([1.0, 0.8, 0.6]), 1e-6)
+        assert calls == [res.meta["s_max"]]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 16])
     def test_matches_closed_form_reference(self, n):
         # diagonal direction at p = 9 truncated at sqrt(2n): the family of
@@ -484,6 +560,31 @@ class TestOuterBound:
                                    mpmath.linspace(0, s_max, int(s_max) + 1))
             err = abs(res.value - integral / 2)
         assert err > 1e-16 and err <= res.err_bound - res.meta["tail_bound"]
+
+
+class TestOuterWaves:
+    # the outer rule looks kernel values up in waves of _WAVE_LIMIT panels;
+    # fsum makes the totals independent of the waves (p = 1 takes no table,
+    # and the p = inf call needs 2 168 panels, two default waves)
+    @pytest.mark.parametrize("p,a,tol", [
+        (4.0, [1.0, 0.9, 0.9, 0.5], 1e-7),
+        (9.0, [1.0, 1.0, 1.0], 1e-6),
+        (1.0, [1.0, 1.0, 1.0], 1e-6),
+        (INF, [1.0, 0.8, 0.6], 1e-10),
+    ])
+    def test_waves_keep_every_bit(self, p, a, tol, monkeypatch):
+        d = Direction(a)
+        hk._kernel.cache_clear()
+        whole = hk.section_volume_quadrature(p, d, tol)
+        monkeypatch.setattr(hk, "_WAVE_LIMIT", 7)
+        hk._kernel.cache_clear()
+        waves = hk.section_volume_quadrature(p, d, tol)
+        assert whole.meta["panels"] > 7
+        assert (waves.value, waves.err_bound) == (whole.value, whole.err_bound)
+        # panel end nodes shared by two separate table fills count in each
+        nodes = waves.meta.pop("kernel_nodes")
+        assert nodes >= whole.meta.pop("kernel_nodes")
+        assert waves.meta == whole.meta
 
 
 class TestCrossEngineLight:

@@ -16,7 +16,8 @@ diff of two runs:
 
 The list covers every engine and subcommand: quadrature volumes from
 p = 1 to inf (one whose kernel skips its table, one whose outer tail
-bound leaves a small coordinate out of its power law), Monte Carlo volumes
+bound leaves a small coordinate out of its power law, one on a diagonal
+of 1000 coordinates), Monte Carlo volumes
 (odd and even n, finite p and p = inf) and closed forms (finite p and
 p = inf), a direction whose sum of squares underflows, the usage (2)
 and non-convergence (3) exits, a kernel grid whose step is not dyadic,
@@ -55,6 +56,8 @@ LINES = [
     # the least outer tail law is a cut that leaves the small coordinate out
     "volume --p 40 --a 1,1,1,1,1e-3 --engine quad --tol 1e-6",
     "volume --p 140 --diag 6 --engine quad --tol 1e-6",
+    # a long diagonal: the outer rule's strip bound must tend to 1 for thin strips
+    "volume --p 2.3 --diag 1000 --engine quad --tol 1e-6",
     "volume --p inf --a 1,0.8,0.6 --engine quad --tol 1e-8 --format json",
     # other engines
     "volume --p 4 --diag 3 --engine mc --samples 20000 --seed 5",

@@ -37,6 +37,14 @@ EXIT_INTERNAL = 4
 
 # a `kernel` table needs --s-max / --step below this (about as many rows)
 KERNEL_MAX_ROWS = 10 ** 6
+# --diag, --a2, --n-list entries and optimize --n may not exceed this
+# (a quadrature volume on diag 10^6 peaks at about 300 MiB)
+MAX_DIMENSION = 10 ** 6
+
+
+def _check_dimension(flag: str, n: int) -> None:
+    if n > MAX_DIMENSION:
+        raise ValueError(f"{flag} must be at most {MAX_DIMENSION}, got {n}")
 
 
 def _parse_p(text: str) -> float:
@@ -78,10 +86,12 @@ def _parse_direction(args) -> tuple[Direction, str]:
     if args.diag is not None:
         if args.diag < 1:
             raise ValueError("--diag needs n >= 1")
+        _check_dimension("--diag", args.diag)
         return Direction.diagonal(args.diag), f"diag:{args.diag}"
     if args.a2 is not None:
         if args.a2 < 2:
             raise ValueError("--a2 needs n >= 2")
+        _check_dimension("--a2", args.a2)
         return Direction.two_equal(args.a2), f"a2:{args.a2}"
     try:
         entries = [float(v) for v in args.a.split(",")]
@@ -198,6 +208,8 @@ def _cmd_clt(args) -> int:
         n_list = [int(v) for v in args.n_list.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse --n-list {args.n_list!r}")
+    for n in n_list:
+        _check_dimension("each --n-list entry", n)
     rows_out = []
     for row in clt_experiment(p, n_list, McSpec(samples=args.samples, seed=args.seed)):
         rows_out.append(dict(p=_format_p(p), n=row.n, estimate=row.estimate,
@@ -208,6 +220,7 @@ def _cmd_clt(args) -> int:
 
 def _cmd_optimize(args) -> int:
     p = _parse_p(args.p)
+    _check_dimension("--n", args.n)
     report = maximize_direction(p, args.n, budget=args.budget, tol=args.tol, seed=args.seed)
     rows = []
     base = dict(p=_format_p(p), n=args.n, engine="quadrature", converged=report.converged)

@@ -31,16 +31,26 @@ Error model
   the kernel's x-uniform errors (truncation, flat head) once, the nodes'
   bounds times the Lebesgue constant, the interpolation error (ATAP
   Thm 8.2, from a bound on |k_p| in a strip, _log_strip_max), and
-  rounding.  Panels whose bound exceeds the kernel target go direct, and
-  no table is built where the uniform and interpolation terms alone do.
+  rounding.  The table covers arguments below the kernel's `extent`:
+  2 * 65536, or 0 at p = inf and where the uniform and interpolation
+  terms alone miss the kernel target.  Arguments past it and panels
+  whose bound exceeds the target take _Kernel.values, the one route off
+  the table (the closed form, or the radial quadrature).
 * The outer integral is truncated at s_max, the first 4 * 1.3^k where a
   rigorous envelope bound (tail_bound_outer, the least of a table of
   power laws, each solved in closed form) meets tol_abs / 2, and
   integrated by one 24-node Gauss-Legendre rule on n equal panels, n
   the fewest whose certified bound (ATAP Thm 19.3, from the same strip
-  bound) meets the target, found before any kernel value; to it come
-  the rule's rounding, the kernel errors propagated through |d prod| <=
-  sum_j |d k_j| * prod of bounds, and the prefactor's.
+  bound, which tends to 1 for thin strips, so that the product of one
+  factor per coordinate stays bounded) meets the target, found before
+  any kernel value; to it come the rule's rounding, the kernel errors
+  propagated through |d prod| <= sum_j |d k_j| * prod of bounds, and the
+  prefactor's.
+
+Kernel work runs in batches of about _BATCH_POINTS rule points: blocks
+of radial subpanels in _Kernel.direct (one argument's subpanels are
+never split) and waves of outer panels, whatever the number of
+coordinates.  The batches change no bit.
 
 The one setting is tol_abs.  A call whose certified bound misses it,
 or whose rule bound needs more than _PANEL_BUDGET outer panels, raises
@@ -154,8 +164,10 @@ def _weight(r: np.ndarray, p: float) -> np.ndarray:
     return np.exp(-(r ** p)) * r
 
 
-# radial subpanels per block of _Kernel.direct: its temporaries stay small
-_CHUNK_PANELS = 4096
+# kernel-rule points per batch: _Kernel.direct's blocks of radial
+# subpanels and _outer_adaptive's waves of outer panels, so that their
+# temporaries stay small
+_BATCH_POINTS = 12 * 4096
 
 
 def _weight_cells(p: float, r_max: float, levels: int):
@@ -189,13 +201,12 @@ def _gamma_n(k, u: float):
 
 
 def kernel_values(p: float, x, trunc_target: float = 1e-13):
-    """Vectorized kernel evaluation.
+    """Vectorized kernel evaluation, never from the table.
 
-    Returns (values, err_bounds) for an array of nonnegative arguments;
-    err_bounds combines the certified truncation tail and flat-head
-    weight (_Kernel.uniform), the certified Gauss-Legendre bound and the
-    rounding of the sums and of the prefactor 2/Gamma(1+2/p)
-    (_Kernel.direct).  p = inf uses the closed form (error 0).
+    Returns (values, err_bounds) for an array of nonnegative finite
+    arguments: _Kernel.values of the cached kernel for (p, trunc_target).
+    Arguments that are all 0 return 1 with error 0 without setting a
+    kernel up.
     """
     p = validate_exponent(p)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -203,17 +214,9 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
         raise ValueError("kernel argument must be nonnegative")
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel argument must be finite")
-    if math.isinf(p):
-        return _j1_normalized(x), np.zeros_like(x)
-    # k(0) = 1 exactly
-    vals = np.ones_like(x)
-    errs = np.zeros_like(x)
-    nz = x != 0.0
-    if np.any(nz):
-        k = _kernel(p, trunc_target)
-        vals[nz], errs[nz] = k.direct(x[nz])
-        errs[nz] += k.uniform
-    return vals, errs
+    if not np.any(x):
+        return np.ones_like(x), np.zeros_like(x)
+    return _kernel(p, trunc_target).values(x)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +232,10 @@ _CHEB_DEGREE = 24
 _CHEB_LEBESGUE = 1.0 + 2.0 / math.pi * math.log(_CHEB_DEGREE + 1)
 # Bernstein ellipse parameters tried for the interpolation and outer bounds
 _RHO_GRID = np.geomspace(1.5, 256.0, 48)
-# splits b r - r^p = (b r - t r^p) - (1 - t) r^p tried by _log_strip_max
-_YOUNG_T = 1.0 - np.geomspace(0.5, 2.0 ** -20, 40)
-# the table's extent: arguments past 2 * _TABLE_MAX_PANELS go direct
+# splits b r - r^p = (b r - t r^p) - (1 - t) r^p tried by _log_strip_max:
+# small t for thin strips (the bound tends to 1 as b -> 0), t near 1 for wide
+_YOUNG_T = np.r_[np.geomspace(2.0 ** -50, 0.5, 50, endpoint=False), 1.0 - np.geomspace(0.5, 2.0 ** -20, 40)]
+# panels of a full table: _Kernel.extent is _CHEB_WIDTH times this
 _TABLE_MAX_PANELS = 1 << 16
 _U_LD = float(np.finfo(np.longdouble).epsneg)
 
@@ -243,8 +247,10 @@ def _log_strip_max(p: float, b: np.ndarray) -> np.ndarray:
     0 < t < 1, b r - t r^p is at most (1 - 1/p) b r_t, r_t = (b /
     (t p))^(1/(p-1)), and e^(-(1-t) r^p) integrates to exactly
     Gamma(1+2/p)/2 (1-t)^(-2/p); the minimum over _YOUNG_T is returned.
-    At p = inf this is e^b (r_t = 0^0 = 1); at p = 1 the integral is
-    (1 - b)^-2 for b < 1."""
+    _YOUNG_T reaches down to t = 2^-50, so the bound tends to 1 (log 0)
+    for thin strips: a t bounded away from 0 would leave (1-t)^(-2/p)
+    however small b is.  At p = inf this is e^b (r_t = 0^0 = 1); at p = 1
+    the integral is (1 - b)^-2 for b < 1."""
     if p == 1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(b < 1.0, -2.0 * np.log1p(-b), math.inf)
@@ -316,8 +322,12 @@ class _Kernel:
     `pref` = 2/Gamma(1+2/p) and the x-uniform error `uniform` of the
     radial quadrature `direct`, the interpolation bound `interp`
     (_interp_bound), and a piecewise Chebyshev table filled panel by
-    panel on demand.  At p = inf (a closed form) it holds only the empty
-    table, uniform = 0 and interp = inf, so that lookup never reads it.
+    panel on demand for arguments below `extent`.  `values` is the one
+    route off the table.  `extent` is 0.0 where no table panel could
+    pass, so that lookup never reads the table: at p = inf (a closed
+    form, which holds nothing else) and wherever uniform + interp alone
+    misses trunc_target (p = 1, no usable ellipse; p near 1 at tight
+    targets).
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
@@ -330,8 +340,8 @@ class _Kernel:
     def __init__(self, p: float, trunc_target: float):
         self.p, self.trunc_target = p, trunc_target
         self.state = (np.empty((_CHEB_DEGREE + 1, 0)), np.empty(0))
+        self.extent = 0.0
         if math.isinf(p):
-            self.uniform, self.interp = 0.0, math.inf
             return
         r_max, self.cert = _trunc_radius(p, trunc_target)
         # octaves of dyadic radial cells below u = r^p = 1 (see _weight_cells)
@@ -341,6 +351,20 @@ class _Kernel:
         self.pref = 2.0 / gamma(1.0 + 2.0 / p)
         self.uniform = self.cert + self.pref * self.head_cert
         self.interp = _interp_bound(p)
+        self.extent = _CHEB_WIDTH * _TABLE_MAX_PANELS if self.uniform + self.interp <= trunc_target else 0.0
+
+    def values(self, x: np.ndarray):
+        """(values, errors) off the table for nonnegative finite x: the
+        closed form 2 J1(x)/x at p = inf (error 0), exactly 1 at x = 0,
+        otherwise `direct` with `uniform` added to its errors."""
+        if math.isinf(self.p):
+            return _j1_normalized(x), np.zeros_like(x)
+        vals, errs = np.ones_like(x), np.zeros_like(x)
+        nz = x != 0.0
+        if np.any(nz):
+            vals[nz], errs[nz] = self.direct(x[nz])
+            errs[nz] += self.uniform
+        return vals, errs
 
     def direct(self, x: np.ndarray):
         """(values, errors) of pref * int_0^r_max J0(x r) exp(-r^p) r dr
@@ -380,7 +404,7 @@ class _Kernel:
         start = 0
         while start < x.size:
             base = csum[start - 1] if start else 0
-            stop = max(int(np.searchsorted(csum, base + _CHUNK_PANELS, side="right")), start + 1)
+            stop = max(int(np.searchsorted(csum, base + _BATCH_POINTS // _GL_ORDER, side="right")), start + 1)
             C = np.ceil(np.outer(x[start:stop], cell_w) / (0.5 * math.pi)).astype(np.int64)
             np.maximum(C, 1, out=C)
             nx, ncells = C.shape
@@ -449,15 +473,12 @@ class _Kernel:
 
     def lookup(self, x: np.ndarray):
         """(values, errors, nodes added, interpolation bound or 0.0 if no
-        value came from the table) for nonnegative finite x.  Kernels on
-        which every panel's bound, at least uniform + interp, would miss
-        trunc_target (p = inf, a closed form; p = 1, no usable ellipse; p
-        near 1 at tight targets) go to kernel_values directly, and so do
-        points on panels without a certified fit or past the table's extent."""
-        past = x >= _CHEB_WIDTH * _TABLE_MAX_PANELS
-        if not self.uniform + self.interp <= self.trunc_target or np.all(past):
-            kv, ke = kernel_values(self.p, x, trunc_target=self.trunc_target)
-            return kv, ke, 0, 0.0
+        value came from the table) for nonnegative finite x.  Points at or
+        past `extent` (all of them where extent is 0.0) and points on
+        panels without a certified fit take `values`."""
+        past = x >= self.extent
+        if np.all(past):
+            return (*self.values(x), 0, 0.0)
         # past points read panel 0 and go direct: they must not grow the table
         idx = np.where(past, 0.0, x * (1.0 / _CHEB_WIDTH)).astype(np.intp)
         coeffs, errs = self.state
@@ -473,7 +494,7 @@ class _Kernel:
         vals = _clenshaw(coeffs, idx, t)
         direct = np.isinf(err)
         if np.any(direct):
-            vals[direct], err[direct] = kernel_values(self.p, x[direct], trunc_target=self.trunc_target)
+            vals[direct], err[direct] = self.values(x[direct])
         interp = 0.0 if np.all(direct) else self.interp
         return vals, err, added, interp
 
@@ -554,7 +575,6 @@ def tail_bound_outer(p: float, a, s_max: float) -> float:
 # Outer adaptive integration
 # ---------------------------------------------------------------------------
 
-_WAVE_LIMIT = 1500  # panels per evaluation wave (memory control)
 _PANEL_BUDGET = 40000  # outer panels per call
 
 
@@ -605,12 +625,14 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
     slope = 2.0 * J1_MAX_BOUND * gamma(1.0 + 3.0 / p) / (3.0 * gamma(1.0 + 2.0 / p))
     edges = np.linspace(0.0, s_max, n + 1)
     kernel = _kernel(p, trunc_target)
-    # panel sums, propagated errors and rounding bounds collect in waves
-    # (fsum is exactly rounded, so the totals do not depend on the waves)
+    # panel sums, propagated errors and rounding bounds collect in waves of
+    # about _BATCH_POINTS kernel arguments (fsum is exactly rounded, so the
+    # totals do not depend on the waves)
+    wave = max(1, _BATCH_POINTS // (_OUTER_ORDER * coeffs.size))
     sums, props, rounds = [], [], []
     nodes, interp_bound = 0, 0.0
-    for start in range(0, n, _WAVE_LIMIT):
-        lo, hi = edges[start:n][:_WAVE_LIMIT], edges[start + 1:][:_WAVE_LIMIT]
+    for start in range(0, n, wave):
+        lo, hi = edges[start:n][:wave], edges[start + 1:][:wave]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         s_all = (mid[:, None] + half[:, None] * g[None, :]).ravel()
@@ -625,9 +647,7 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
         # where ke is 0 as well) from producing 0/0 in the exclusion ratio
         bounds = np.maximum(np.minimum(1.0, np.abs(kv) + ke), 1e-300)
         prod_bound = np.prod(bounds ** mults[:, None], axis=0)
-        prop = np.zeros_like(prod)
-        for i in range(coeffs.size):
-            prop += mults[i] * ke[i] * prod_bound / bounds[i]
+        prop = (mults[:, None] * ke * prod_bound / bounds).sum(axis=0)
         sums.append(((prod * s_all).reshape(lo.size, _OUTER_ORDER) * w[None, :]).sum(axis=1) * half)
         props.append(((prop * s_all).reshape(lo.size, _OUTER_ORDER) * w[None, :]).sum(axis=1) * half)
         mag = (prod_bound * (s_all + ds)).reshape(lo.size, _OUTER_ORDER)

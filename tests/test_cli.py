@@ -95,6 +95,29 @@ class TestVolume:
         assert "the last tried" in captured.err
 
 
+class TestDimensionLimit:
+    # a dimension past cli.MAX_DIMENSION is refused before anything is
+    # allocated; 3e8 used to exit 4 with a MemoryError under a 2 GB limit
+    @pytest.mark.parametrize("argv", [
+        ["volume", "--p", "4", "--diag", "{n}", "--engine", "quad", "--tol", "1e-3"],
+        ["volume", "--p", "4", "--a2", "{n}", "--engine", "closed"],
+        ["clt", "--p", "4", "--n-list", "4,{n}", "--samples", "32"],
+        ["optimize", "--p", "4", "--n", "{n}", "--engine", "quad"],
+    ])
+    def test_past_the_limit_is_usage_error(self, argv, capsys):
+        argv = [a.format(n=cli.MAX_DIMENSION + 1) for a in argv]
+        t0 = time.perf_counter()
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1 and str(cli.MAX_DIMENSION) in captured.err
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_the_limit_itself_is_accepted(self, capsys):
+        code, out = run_cli(["volume", "--p", "4", "--a2", str(cli.MAX_DIMENSION), "--engine", "closed"], capsys)
+        assert code == 0 and out.splitlines()[1].split(",")[2] == str(cli.MAX_DIMENSION)
+
+
 class TestKernelTable:
     def test_rows_and_header(self, capsys):
         code, out = run_cli(["kernel", "--p", "inf", "--s-max", "2", "--step", "0.5"], capsys)

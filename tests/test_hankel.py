@@ -104,7 +104,7 @@ class TestKernel:
         x = np.linspace(0.0, 120.0, 241)
         runs = []
         for chunk in (1, 4096, 60000):
-            monkeypatch.setattr(hk, "_CHUNK_PANELS", chunk)
+            monkeypatch.setattr(hk, "_BATCH_POINTS", 12 * chunk)
             runs.append(hk.kernel_values(p, x))
         for vals, errs in runs[1:]:
             assert np.array_equal(vals, runs[0][0]) and np.array_equal(errs, runs[0][1])
@@ -391,6 +391,17 @@ class TestSectionVolume:
         assert res.value == pytest.approx(1.0, abs=1e-10)
         assert res.err_bound <= 1e-8
 
+    def test_exact_at_p2_on_a_long_diagonal(self):
+        # the outer rule's strip bound stopped at (2/p) ln 2 per coordinate
+        # for thin strips, so long diagonals exhausted the panel budget
+        res = hk.section_volume_quadrature(2.0, Direction.diagonal(1000), 1e-8)
+        assert abs(res.value - 1.0) <= res.err_bound <= 1e-8
+
+    @pytest.mark.parametrize("p", [2.05, 2.3, 4.0, 9.0])
+    def test_long_diagonal_converges(self, p):
+        res = hk.section_volume_quadrature(p, Direction.diagonal(2000), 1e-6)
+        assert res.err_bound <= 1e-6
+
     def test_err_bound_within_tol(self):
         res = hk.section_volume_quadrature(4.0, Direction.diagonal(5), 1e-5)
         assert res.err_bound <= 1e-5
@@ -466,7 +477,7 @@ class TestOuterBound:
     @pytest.mark.parametrize("p", [1.0, 1.0001, 1.05, 1.18, 1.5, 2.0, 4.0, 40.0, 1e6])
     def test_strip_max_covers_mpmath(self, p):
         mpmath = pytest.importorskip("mpmath")
-        bs = np.array([0.05, 0.3, 0.9, 2.0, 5.0])
+        bs = np.array([1e-6, 1e-3, 0.05, 0.3, 0.9, 2.0, 5.0])
         got = hk._log_strip_max(p, bs)
         for b, log_m in zip(bs, got):
             if not math.isfinite(log_m):
@@ -489,6 +500,11 @@ class TestOuterBound:
                 exact = mpmath.log(2 * integral / mpmath.gamma(1 + mpmath.mpf(2) / p))
             assert log_m >= float(exact)
         assert np.array_equal(hk._log_strip_max(INF, bs), bs)
+
+    @pytest.mark.parametrize("p", [1.5, 2.3, 4.0, 9.0, 500.0])
+    def test_strip_max_tends_to_one_for_thin_strips(self, p):
+        # with t >= 1/2 only, the bound stopped at (2/p) ln 2 (0.35 at p = 4)
+        assert hk._log_strip_max(p, np.array([1e-6]))[0] <= 1e-5
 
     @pytest.mark.parametrize("p,a,s_max,ns", [
         (1.0, [1.0, 1.0, 1.0], 30.0, (5, 8)),
@@ -563,9 +579,10 @@ class TestOuterBound:
 
 
 class TestOuterWaves:
-    # the outer rule looks kernel values up in waves of _WAVE_LIMIT panels;
+    # the outer rule looks kernel values up in waves of about _BATCH_POINTS
+    # points (_BATCH_POINTS // (24 * distinct coordinates) panels);
     # fsum makes the totals independent of the waves (p = 1 takes no table,
-    # and the p = inf call needs 2 168 panels, two default waves)
+    # and the p = inf call needs 2 168 panels, four default waves)
     @pytest.mark.parametrize("p,a,tol", [
         (4.0, [1.0, 0.9, 0.9, 0.5], 1e-7),
         (9.0, [1.0, 1.0, 1.0], 1e-6),
@@ -576,7 +593,7 @@ class TestOuterWaves:
         d = Direction(a)
         hk._kernel.cache_clear()
         whole = hk.section_volume_quadrature(p, d, tol)
-        monkeypatch.setattr(hk, "_WAVE_LIMIT", 7)
+        monkeypatch.setattr(hk, "_BATCH_POINTS", 7 * 24)
         hk._kernel.cache_clear()
         waves = hk.section_volume_quadrature(p, d, tol)
         assert whole.meta["panels"] > 7
@@ -585,6 +602,52 @@ class TestOuterWaves:
         nodes = waves.meta.pop("kernel_nodes")
         assert nodes >= whole.meta.pop("kernel_nodes")
         assert waves.meta == whole.meta
+
+
+class TestKernelRouting:
+    # _Kernel.values is the one route off the table; `extent` says where
+    # the table ends, and kernel_values is only an entry point
+
+    @staticmethod
+    def no_public_route(monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("kernel_values called from inside the engine")
+
+        monkeypatch.setattr(hk, "kernel_values", boom)
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_volumes_do_not_call_kernel_values(self, p, monkeypatch):
+        self.no_public_route(monkeypatch)
+        res = hk.section_volume_quadrature(p, Direction([1.0, 0.8, 0.6]), 1e-6)
+        assert res.meta["kernel_nodes"] == 0
+
+    def test_lookup_past_the_extent_does_not_call_kernel_values(self, monkeypatch):
+        kernel = hk._kernel(4.0, 1e-13)
+        self.no_public_route(monkeypatch)
+        _, e, _, interp = kernel.lookup(np.array([2e5, 1.0]))
+        assert interp == kernel.interp and np.all(e <= 1e-13)
+
+    @pytest.mark.parametrize("p,target,extent", [
+        (INF, 1e-13, 0.0), (1.0, 1e-12, 0.0), (1.13, 1e-9, 0.0), (4.0, 1e-13, 2.0 * 65536),
+    ])
+    def test_extent(self, p, target, extent):
+        assert hk._Kernel(p, target).extent == extent
+
+    def test_lookups_stay_within_one_batch(self, monkeypatch):
+        # 200 distinct coordinates: the outer waves shrink with them, where
+        # a fixed panel count passed 43 x 24 x 200 arguments in one call
+        sizes = []
+        lookup = hk._Kernel.lookup
+
+        def counting(self, x):
+            sizes.append(x.size)
+            return lookup(self, x)
+
+        monkeypatch.setattr(hk._Kernel, "lookup", counting)
+        res = hk.section_volume_quadrature(4.0, Direction(np.linspace(1.0, 0.5, 200)), 1e-6)
+        assert res.err_bound <= 1e-6 and len(sizes) > 1
+        assert max(sizes) <= hk._BATCH_POINTS
+        assert sum(sizes) == res.meta["kernel_evals"]
 
 
 class TestCrossEngineLight:
@@ -630,7 +693,7 @@ class TestKernelQuadratureBound:
         assert sum(sizes) == 12 * counts.sum()
         blocks, filled = 0, math.inf
         for c in counts:
-            if filled + c > hk._CHUNK_PANELS:
+            if filled + c > hk._BATCH_POINTS // 12:
                 blocks, filled = blocks + 1, 0.0
             filled += c
         assert len(sizes) == blocks

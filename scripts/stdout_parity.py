@@ -15,12 +15,13 @@ diff of two runs:
     diff parent.txt change.txt
 
 The list covers every engine and subcommand: quadrature volumes from
-p = 1 to inf (one whose kernel skips its table, one whose outer tail
+p = 1 to inf (one whose kernel skips its table, one at p = 1 whose
+loose target lets the kernel read its table, one whose outer tail
 bound leaves a small coordinate out of its power law, one on a diagonal
-of 1000 coordinates), Monte Carlo volumes
-(odd and even n, finite p and p = inf) and closed forms (finite p and
-p = inf), a direction whose sum of squares underflows, the usage (2)
-and non-convergence (3) exits, a kernel grid whose step is not dyadic,
+of 1000 coordinates, one whose outer rule takes a single panel), Monte
+Carlo volumes (odd and even n, finite p and p = inf) and closed forms
+(finite p and p = inf), a direction whose sum of squares underflows,
+the usage (2) and non-convergence (3) exits, a kernel grid whose step is not dyadic,
 a kernel whose cutoff the truncation bound decides, a crossing scan,
 the Lipschitz suite, four clt tables (one at p = inf, one whose batches
 span several chunks), and the optimizer on n = 2 (closed forms only)
@@ -44,14 +45,17 @@ from pathlib import Path
 LINES = [
     # quadrature volumes across p
     "volume --p 1 --diag 3 --engine quad --tol 1e-4",
-    # the certified outer bound needs more than the initial panels here
     "volume --p 1 --diag 3 --engine quad --tol 1e-8",
+    # a kernel target of 2e-6 is above p = 1's interpolation bound: p = 1 reads the table
+    "volume --p 1 --diag 3 --engine quad --tol 0.2",
     # every table panel would miss the kernel target here: all points go direct
     "volume --p 1.13 --diag 3 --engine quad --tol 1e-4",
     "volume --p 1.5 --a 1,0.8,0.6 --engine quad --tol 1e-6",
     "volume --p 2.3 --diag 4 --engine quad --tol 1e-7",
     "volume --p 4 --a 1,0.9,0.7,0.5 --engine quad --tol 1e-8",
     "volume --p 9 --diag 5 --engine quad --tol 1e-6",
+    # the outer rule's certificate is met by a single panel
+    "volume --p 9 --diag 20 --engine quad --tol 1e-5",
     "volume --p 60 --a 1,0.8,0.6 --engine quad --tol 1e-6",
     # the least outer tail law is a cut that leaves the small coordinate out
     "volume --p 40 --a 1,1,1,1,1e-3 --engine quad --tol 1e-6",

@@ -37,14 +37,17 @@ EXIT_INTERNAL = 4
 
 # a `kernel` table needs --s-max / --step below this (about as many rows)
 KERNEL_MAX_ROWS = 10 ** 6
-# --diag, --a2, --n-list entries and optimize --n may not exceed this
+# --diag, --a2 and --n-list entries may not exceed this
 # (a quadrature volume on diag 10^6 peaks at about 300 MiB)
 MAX_DIMENSION = 10 ** 6
+# optimize --n may not exceed this: the simplex and its weights hold
+# 2 (n + 1) n doubles, about 256 MiB here
+OPTIMIZE_MAX_DIMENSION = 4096
 
 
-def _check_dimension(flag: str, n: int) -> None:
-    if n > MAX_DIMENSION:
-        raise ValueError(f"{flag} must be at most {MAX_DIMENSION}, got {n}")
+def _check_dimension(flag: str, n: int, limit: int = MAX_DIMENSION) -> None:
+    if n > limit:
+        raise ValueError(f"{flag} must be at most {limit}, got {n}")
 
 
 def _parse_p(text: str) -> float:
@@ -220,7 +223,7 @@ def _cmd_clt(args) -> int:
 
 def _cmd_optimize(args) -> int:
     p = _parse_p(args.p)
-    _check_dimension("--n", args.n)
+    _check_dimension("--n", args.n, OPTIMIZE_MAX_DIMENSION)
     report = maximize_direction(p, args.n, budget=args.budget, tol=args.tol, seed=args.seed)
     rows = []
     base = dict(p=_format_p(p), n=args.n, engine="quadrature", converged=report.converged)

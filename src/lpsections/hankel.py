@@ -166,7 +166,7 @@ def _weight(r: np.ndarray, p: float) -> np.ndarray:
 
 # kernel-rule points per batch: _Kernel.direct's blocks of radial
 # subpanels and _outer_adaptive's waves of outer panels, so that their
-# temporaries stay small
+# temporaries stay small (_log_strip_max's blocks take as many entries)
 _BATCH_POINTS = 12 * 4096
 
 
@@ -255,9 +255,16 @@ def _log_strip_max(p: float, b: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(b < 1.0, -2.0 * np.log1p(-b), math.inf)
     t = _YOUNG_T.reshape((-1,) + (1,) * b.ndim)
-    with np.errstate(over="ignore"):
-        r_t = (b / (t * p)) ** (1.0 / (p - 1.0))
-    return np.min(((1.0 - 1.0 / p) * b) * r_t - (2.0 / p) * np.log1p(-t), axis=0)
+    # the minimum over t in blocks of rows of b, so that the (t, block)
+    # temporaries stay near _BATCH_POINTS entries however many rows b has
+    rows = max(1, _BATCH_POINTS // (_YOUNG_T.size * math.prod(b.shape[1:])))
+    out = np.empty(b.shape)
+    for start in range(0, len(b), rows):
+        blk = b[start:start + rows]
+        with np.errstate(over="ignore"):
+            r_t = (blk / (t * p)) ** (1.0 / (p - 1.0))
+        out[start:start + rows] = np.min(((1.0 - 1.0 / p) * blk) * r_t - (2.0 / p) * np.log1p(-t), axis=0)
+    return out
 
 
 def _interp_bound(p: float) -> float:
@@ -269,10 +276,8 @@ def _interp_bound(p: float) -> float:
     ATAP Thm 8.2 gives |k - q| <= 4 M rho^-n / (rho - 1) when |k| <= M
     on the Bernstein ellipse E_rho of the panel, which lies in the strip
     |Im z| <= (rho - 1/rho)/2 (half-width 1); 1 + 1e-5 covers the flat
-    head and rounding.  The minimum over _RHO_GRID, or inf at p = 1,
-    where the strip bound is finite only for rho < 1 + sqrt(2)."""
-    if not p > 1.0:
-        return math.inf
+    head and rounding.  The minimum over _RHO_GRID (at p = 1 over rho <
+    1 + sqrt(2), where the strip bound is finite)."""
     log_m = _log_strip_max(p, 0.5 * (_RHO_GRID - 1.0 / _RHO_GRID))
     with np.errstate(over="ignore"):
         bound = 4.0 * (1.0 + 1e-5) * np.exp(log_m - _CHEB_DEGREE * np.log(_RHO_GRID)) / (_RHO_GRID - 1.0)
@@ -326,8 +331,8 @@ class _Kernel:
     route off the table.  `extent` is 0.0 where no table panel could
     pass, so that lookup never reads the table: at p = inf (a closed
     form, which holds nothing else) and wherever uniform + interp alone
-    misses trunc_target (p = 1, no usable ellipse; p near 1 at tight
-    targets).
+    misses trunc_target (p at or near 1 at tight targets: at p = 1,
+    interp is 1.7e-6).
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
@@ -599,19 +604,17 @@ def _outer_bound(p, coeffs, mults, s_max, n):
 def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
     """(sum, rule and rounding bound, propagated kernel error, panels,
     kernel points, table nodes added, interpolation bound) on the fewest
-    equal panels, n_init or more, whose _outer_bound meets tol_quad
-    (doubling, then bisection).  Rounding: a node is within ds = 4 u (mid
+    equal panels, 1 or more, whose _outer_bound meets tol_quad (doubling
+    from 1, then bisection).  Rounding: a node is within ds = 4 u (mid
     + half) of the exact one and an argument within a_j (ds + u s), which
     moves k_p by at most `slope` >= |k_p'| (2/Gamma(1+2/p) max|J1|
     int r^2 e^-r^p dr) times that, a kernel error; the weights move a panel
     sum by _OUTER_WEIGHT_ERR max|f|; products and sums take gamma_(N+2g+4)."""
-    freq = float(np.sum(coeffs * mults))
-    n_init = int(min(1024, max(6, math.ceil(s_max * freq / (2.0 * math.pi)))))
-    # bound(fail) > tol_quad or fail < n_init; then bound = bound(n) <= tol_quad
-    fail, n = n_init - 1, n_init
+    # bound(fail) > tol_quad or fail = 0; then bound = bound(n) <= tol_quad
+    fail, n = 0, 1
     while n > _PANEL_BUDGET or (bound := _outer_bound(p, coeffs, mults, s_max, n)) > tol_quad:
         if n >= _PANEL_BUDGET:
-            raise NonConvergenceError(f"outer panel budget {_PANEL_BUDGET} exhausted ({n_init} to start)")
+            raise NonConvergenceError(f"outer panel budget {_PANEL_BUDGET} exhausted")
         fail, n = n, min(2 * n, _PANEL_BUDGET)
     while n - fail > 1:
         half_way = (fail + n) // 2

@@ -96,8 +96,9 @@ class TestVolume:
 
 
 class TestDimensionLimit:
-    # a dimension past cli.MAX_DIMENSION is refused before anything is
-    # allocated; 3e8 used to exit 4 with a MemoryError under a 2 GB limit
+    # a dimension past its limit is refused before anything is allocated;
+    # 3e8 used to exit 4 with a MemoryError under a 2 GB limit, and so did
+    # optimize --n 100000 (the simplex grows as n^2)
     @pytest.mark.parametrize("argv", [
         ["volume", "--p", "4", "--diag", "{n}", "--engine", "quad", "--tol", "1e-3"],
         ["volume", "--p", "4", "--a2", "{n}", "--engine", "closed"],
@@ -105,12 +106,13 @@ class TestDimensionLimit:
         ["optimize", "--p", "4", "--n", "{n}", "--engine", "quad"],
     ])
     def test_past_the_limit_is_usage_error(self, argv, capsys):
-        argv = [a.format(n=cli.MAX_DIMENSION + 1) for a in argv]
+        limit = cli.OPTIMIZE_MAX_DIMENSION if argv[0] == "optimize" else cli.MAX_DIMENSION
+        argv = [a.format(n=limit + 1) for a in argv]
         t0 = time.perf_counter()
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert len(captured.err.splitlines()) == 1 and str(cli.MAX_DIMENSION) in captured.err
+        assert len(captured.err.splitlines()) == 1 and str(limit) in captured.err
         assert time.perf_counter() - t0 < 2.0
 
     def test_the_limit_itself_is_accepted(self, capsys):

@@ -435,14 +435,14 @@ class TestSectionVolume:
         raise AssertionError("kernel lookup before the panel budget check")
 
     def test_panel_budget_exhaustion(self, monkeypatch):
-        # raised before any kernel lookup: n_init is 9
+        # raised before any kernel lookup: the rule bound needs 10 panels
         monkeypatch.setattr(hk, "_PANEL_BUDGET", 4)
         monkeypatch.setattr(hk._Kernel, "lookup", self.no_lookup)
         with pytest.raises(hk.NonConvergenceError, match="panel budget 4 "):
             hk.section_volume_quadrature(4.0, Direction.diagonal(3), 1e-6)
 
     def test_panel_budget_below_the_rule_bound(self, monkeypatch):
-        # n_init is 44, but the rule bound needs 51 panels
+        # the rule bound needs 51 panels, more than the budget of 48
         monkeypatch.setattr(hk, "_PANEL_BUDGET", 48)
         monkeypatch.setattr(hk._Kernel, "lookup", self.no_lookup)
         with pytest.raises(hk.NonConvergenceError, match="panel budget 48 "):
@@ -506,21 +506,50 @@ class TestOuterBound:
         # with t >= 1/2 only, the bound stopped at (2/p) ln 2 (0.35 at p = 4)
         assert hk._log_strip_max(p, np.array([1e-6]))[0] <= 1e-5
 
+    @pytest.mark.parametrize("p", [1.0, 1.05, 2.3, 4.0, 140.0, INF])
+    def test_strip_max_blocks_keep_bits(self, p, monkeypatch):
+        # the minimum over t runs in blocks of rows of b; one block (a
+        # _BATCH_POINTS that holds every row) gives the same bits
+        b = np.outer(np.linspace(1.0, 0.5, 3000), 0.5 * (hk._RHO_GRID - 1.0 / hk._RHO_GRID) * 0.01)
+        blocked = hk._log_strip_max(p, b)
+        monkeypatch.setattr(hk, "_BATCH_POINTS", b.size * hk._YOUNG_T.size)
+        assert np.array_equal(blocked, hk._log_strip_max(p, b))
+
+    def test_outer_bound_memory_is_linear_in_coordinates(self):
+        # 3000 distinct coordinates: one block of (t, rows, rho) held
+        # 90 x 3000 x 48 doubles (297 MiB) per temporary
+        import tracemalloc
+
+        coeffs = np.linspace(1.0, 0.5, 3000)
+        mults = np.ones(3000, dtype=np.int64)
+        hk._outer_bound(4.0, coeffs[:3], mults[:3], 30.0, 4)
+        tracemalloc.start()
+        try:
+            hk._outer_bound(4.0, coeffs, mults, 30.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
     @pytest.mark.parametrize("p,a,s_max,ns", [
         (1.0, [1.0, 1.0, 1.0], 30.0, (5, 8)),
         (1.0, [1.0, 0.8, 0.6], 30.0, (5, 8)),
         (INF, [1.0, 1.0, 1.0], 30.0, (1, 2, 3)),
         (INF, [1.0, 0.8, 0.6], 30.0, (1, 2)),
+        # the cutoff of the p = 9, diag 20, 1e-5 volume, which takes one panel
+        (9.0, [1.0] * 20, 11.4244, (1, 2)),
     ])
     def test_rule_bound_covers_mpmath(self, p, a, s_max, ns):
-        # exact kernels: k_1 = (1 + x^2)^(-3/2), k_inf = 2 J1(x)/x; every
-        # n is below n_init = ceil(s_max sum_j a_j m_j / (2 pi))
+        # k_1 = (1 + x^2)^(-3/2) and k_inf = 2 J1(x)/x exactly; at p = 9
+        # every argument a_j s is below 2.6, where 30 terms of the power
+        # series give 40 digits
         mpmath = pytest.importorskip("mpmath")
         coeffs, mults = outer_grouped(Direction(a))
-        assert max(ns) < math.ceil(s_max * float(np.sum(coeffs * mults)) / (2.0 * math.pi))
         nodes, weights = mpmath_gauss_legendre(24)
         with mpmath.workdps(40):
             def kernel(x):
+                if p == 9.0:
+                    return series_kernel(p, x, terms=30)
                 return (1 + x * x) ** mpmath.mpf(-1.5) if p == 1.0 else 2 * mpmath.besselj(1, x) / x
 
             def f(s):
@@ -542,18 +571,29 @@ class TestOuterBound:
         assert sum(abs(float(x - y)) for x, y in zip(w, weights)) <= hk._OUTER_WEIGHT_ERR
 
     def test_panel_count_is_minimal(self):
-        # p = 1, diag 3: A = 3/7; the certificate needs more than n_init
-        d = Direction.diagonal(3)
-        res = hk.section_volume_quadrature(1.0, d, 1e-8)
-        coeffs, mults = outer_grouped(d)
-        s_max, n = res.meta["s_max"], res.meta["panels"]
-        tol_quad = 0.375 * 1e-8 / (0.5 * gamma(3.0))
-        n_init = math.ceil(s_max * float(np.sum(coeffs * mults)) / (2.0 * math.pi))
-        assert (n_init, n) == (44, 51)
-        assert hk._outer_bound(1.0, coeffs, mults, s_max, n) <= tol_quad
-        assert hk._outer_bound(1.0, coeffs, mults, s_max, n - 1) > tol_quad
-        assert abs(res.value - 3.0 / 7.0) <= res.err_bound
-        assert res.meta["kernel_evals"] == 24 * n * len(d.grouped())
+        # the certificate alone sizes the rule: n = 1, or n - 1 panels miss
+        # tol_quad.  p = 1, diag 3 (A = 3/7); two quad_distinct_p-like
+        # slots; p = inf; and a 20-coordinate diagonal that takes one panel
+        cases = [
+            (1.0, Direction.diagonal(3), 1e-8),
+            (5.5, Direction(np.linspace(1.0, 0.6, 6)), 1e-8),
+            (40.0, Direction(np.linspace(1.0, 0.6, 5)), 1e-6),
+            (INF, Direction([1.0, 0.8, 0.6]), 1e-8),
+            (9.0, Direction.diagonal(20), 1e-5),
+        ]
+        panels = []
+        for p, d, tol in cases:
+            res = hk.section_volume_quadrature(p, d, tol)
+            coeffs, mults = outer_grouped(d)
+            s_max, n = res.meta["s_max"], res.meta["panels"]
+            tol_quad = 0.375 * tol / (0.5 * gamma(1.0 + 2.0 / p))
+            assert hk._outer_bound(p, coeffs, mults, s_max, n) <= tol_quad
+            assert n == 1 or hk._outer_bound(p, coeffs, mults, s_max, n - 1) > tol_quad
+            assert res.meta["kernel_evals"] == 24 * n * len(d.grouped())
+            panels.append(n)
+            if p == 1.0:
+                assert abs(res.value - 3.0 / 7.0) <= res.err_bound
+        assert (panels[0], panels[-1]) == (51, 1)
 
     @pytest.mark.parametrize("p,a", [(4.0, [1.0, 0.9, 0.9, 0.5]), (INF, [1.0, 0.8, 0.6])])
     def test_one_rule_per_panel(self, p, a):
@@ -582,7 +622,8 @@ class TestOuterWaves:
     # the outer rule looks kernel values up in waves of about _BATCH_POINTS
     # points (_BATCH_POINTS // (24 * distinct coordinates) panels);
     # fsum makes the totals independent of the waves (p = 1 takes no table,
-    # and the p = inf call needs 2 168 panels, four default waves)
+    # and the p = inf call needs 2 168 panels, four default waves); with
+    # _BATCH_POINTS = 3 * 24 a wave holds at most 3 panels
     @pytest.mark.parametrize("p,a,tol", [
         (4.0, [1.0, 0.9, 0.9, 0.5], 1e-7),
         (9.0, [1.0, 1.0, 1.0], 1e-6),
@@ -593,10 +634,10 @@ class TestOuterWaves:
         d = Direction(a)
         hk._kernel.cache_clear()
         whole = hk.section_volume_quadrature(p, d, tol)
-        monkeypatch.setattr(hk, "_BATCH_POINTS", 7 * 24)
+        monkeypatch.setattr(hk, "_BATCH_POINTS", 3 * 24)
         hk._kernel.cache_clear()
         waves = hk.section_volume_quadrature(p, d, tol)
-        assert whole.meta["panels"] > 7
+        assert whole.meta["panels"] > 3
         assert (waves.value, waves.err_bound) == (whole.value, whole.err_bound)
         # panel end nodes shared by two separate table fills count in each
         nodes = waves.meta.pop("kernel_nodes")
@@ -634,8 +675,9 @@ class TestKernelRouting:
         assert hk._Kernel(p, target).extent == extent
 
     def test_lookups_stay_within_one_batch(self, monkeypatch):
-        # 200 distinct coordinates: the outer waves shrink with them, where
-        # a fixed panel count passed 43 x 24 x 200 arguments in one call
+        # 500 distinct coordinates on 10 panels: the outer waves shrink
+        # with the coordinates, to 4 panels, so no lookup gets more than
+        # _BATCH_POINTS arguments
         sizes = []
         lookup = hk._Kernel.lookup
 
@@ -644,7 +686,7 @@ class TestKernelRouting:
             return lookup(self, x)
 
         monkeypatch.setattr(hk._Kernel, "lookup", counting)
-        res = hk.section_volume_quadrature(4.0, Direction(np.linspace(1.0, 0.5, 200)), 1e-6)
+        res = hk.section_volume_quadrature(4.0, Direction(np.linspace(1.0, 0.5, 500)), 1e-6)
         assert res.err_bound <= 1e-6 and len(sizes) > 1
         assert max(sizes) <= hk._BATCH_POINTS
         assert sum(sizes) == res.meta["kernel_evals"]
@@ -792,7 +834,7 @@ class TestChebyshevKernelTable:
         # the bits of the direct-evaluation engine, within err_bound of the
         # exact A(1, diag 3) = 3/7
         res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), 1e-4)
-        assert (res.value, res.err_bound) == (0.42857140908542257, 1.9349075758914926e-05)
+        assert (res.value, res.err_bound) == (0.4285714090854223, 1.9450882829778396e-05)
         assert abs(res.value - 3.0 / 7.0) <= res.err_bound
         assert res.meta["kernel_nodes"] == 0
 

@@ -19,7 +19,9 @@ p = 1 to inf (one whose kernel skips its table, one at p = 1 whose
 loose target lets the kernel read its table, one whose outer tail
 bound leaves a small coordinate out of its power law, one on a diagonal
 of 1000 coordinates, one whose outer rule takes a single panel), Monte
-Carlo volumes (odd and even n, finite p and p = inf) and closed forms
+Carlo volumes (odd and even n, finite p and p = inf, and a spread
+direction whose largest drawn magnitude moves between coordinates from
+draw to draw) and closed forms
 (finite p and p = inf), a direction whose sum of squares underflows,
 the usage (2) and non-convergence (3) exits, a kernel grid whose step is not dyadic,
 a kernel whose cutoff the truncation bound decides, a crossing scan,
@@ -66,6 +68,8 @@ LINES = [
     # other engines
     "volume --p 4 --diag 3 --engine mc --samples 20000 --seed 5",
     "volume --p inf --diag 5 --engine mc --samples 20000 --seed 4",
+    # the largest a_j R_j is not always the first coordinate's
+    "volume --p 3 --a 1,0.9,0.5,0.5,0.2 --engine mc --samples 20000 --seed 13",
     "volume --p 4 --a2 3 --engine closed",
     "volume --p inf --a2 3 --engine closed",
     # usage errors (exit 2)

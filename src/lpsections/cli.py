@@ -70,8 +70,9 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_seed(text: str) -> int:
-    # RngStream keys on the seed modulo 2^64, so larger or negative seeds
-    # would alias a stream under a different command line
+    # McSpec accepts only [0, 2^64), the Monte Carlo batches' SeedSequence
+    # entropy; the optimizer's RngStream keys on the seed modulo 2^64, so
+    # larger or negative seeds would alias its starts
     seed = int(text)
     if not 0 <= seed < 2 ** 64:
         raise argparse.ArgumentTypeError("--seed must be in [0, 2^64)")

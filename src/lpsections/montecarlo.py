@@ -32,17 +32,21 @@ the number of partial sums and drawing one T = sqrt(U) cos(2 pi V) per
 merged pair from two uniforms.  A draw costs one radial modulus and two
 uniforms per coordinate, where sphere points cost four normals.
 
-Sampling is batched: batch b draws from the substream (seed, b), and the
-batch means are reduced in batch order.  The batches run on a thread pool
-with one worker per core available to the process (at most one per
-batch); numpy's random fills and ufuncs release the GIL.  Since every
-batch owns its generator and the reduction order is fixed, the worker
-count changes no bit of the value, the error bar or the batch means.
-A batch draws in chunks of at most _CHUNK_ELEMENTS magnitudes, which
-bounds each worker's working set (about 2 MiB); each chunk draws its
-radial moduli first, then the merge scalars level by level.  The chunk
-size is part of the random stream: a batch spanning several chunks
-draws in a different order than one chunk would.
+Sampling is batched: batch b of an estimate keyed by (seed, domain)
+draws from PCG64DXSM seeded by SeedSequence(seed, spawn_key=(domain, b))
+(_batch_generator); numpy pads the seed to its pool size before it
+appends the key, so no two (seed, domain, b) share a stream.  The batch
+means are reduced in batch order.  The batches run on a thread pool with
+one worker per core available to the process (at most one per batch);
+numpy's random fills and ufuncs release the GIL.  Since every batch owns
+its generator and the reduction order is fixed, the worker count changes
+no bit of the value, the error bar or the batch means.  A batch draws in
+chunks of at most _CHUNK_ELEMENTS magnitudes, which bounds each worker's
+working set (about 2 MiB).  A chunk of m draws is an (n, m) array,
+coordinate-major, so each merge level works in place on contiguous rows;
+it draws its radial moduli first, then the merge scalars level by level.
+The chunk size and this order are part of the random stream: a batch
+spanning several chunks draws in a different order than one chunk would.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import numpy as np
 
 from .direction import Direction, canonicalize, validate_exponent
 from .hankel import VolumeResult
-from .randkit import RngStream, radial_array
+from .randkit import radial_array
 # not called here: the benchmark's span tracer (perfbench/layers.py) rebinds this name
 from .randkit import sphere3_array  # noqa: F401
 from .specfun import gamma
@@ -76,6 +80,8 @@ class McSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.samples < _BATCHES:
             raise ValueError(f"samples must be >= {_BATCHES} (one per batch)")
 
@@ -96,15 +102,15 @@ def rao_blackwell_kernel(u, v):
 
 
 def _merged_norms(b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One draw of |sum_j b_ij xi_ij| per row i of the (m, n) magnitudes b,
-    the xi_ij independent and uniform on the 3-sphere, by the pairwise
-    merge of the module docstring.  b is left unchanged."""
-    u = b.T.copy()  # (n, m), so that each merge works on contiguous rows
-    w = u.shape[0]
+    """One draw of |sum_i b_ij xi_ij| per column j of the (n, m) magnitudes
+    b, the xi_ij independent and uniform on the 3-sphere, by the pairwise
+    merge of the module docstring.  The merge runs in place on b's rows:
+    b is overwritten, and the result is its first row."""
+    w = b.shape[0]
     while w > 1:
         # rows [0, h) absorb rows [w - h, w); with w odd, row h waits a level
         h = w // 2
-        x, y = u[:h], u[w - h:w]
+        x, y = b[:h], b[w - h:w]
         t = gen.random(x.shape)
         phase = gen.random(x.shape)
         np.sqrt(t, out=t)
@@ -122,7 +128,7 @@ def _merged_norms(b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         np.maximum(t, 0.0, out=t)
         np.sqrt(t, out=x)
         w -= h
-    return u[0]
+    return b[0]
 
 
 def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int):
@@ -133,12 +139,12 @@ def _draw_batch(p: float, a: np.ndarray, gen: np.random.Generator, count: int):
     done = 0
     while done < count:
         m = min(chunk, count - done)
-        b = radial_array(p, (m, n), gen)
-        b *= a
-        k = np.argmax(b, axis=1)
-        rows = np.arange(m)
-        bk = b[rows, k]
-        b[rows, k] = 0.0
+        b = radial_array(p, (n, m), gen)
+        b *= a[:, None]
+        k = np.argmax(b, axis=0)
+        cols = np.arange(m)
+        bk = b[k, cols]
+        b[k, cols] = 0.0
         vals[done:done + m] = rao_blackwell_kernel(_merged_norms(b, gen), bk)
         done += m
     return vals
@@ -152,6 +158,11 @@ def _workers() -> int:
     except AttributeError:  # no sched_getaffinity on this platform
         cores = os.cpu_count() or 1
     return max(1, min(cores, _BATCHES))
+
+
+def _batch_generator(seed: int, domain: int, index: int) -> np.random.Generator:
+    """The generator of batch `index` of the estimate keyed by (seed, domain)."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(domain, index))))
 
 
 def _batch_sizes(samples: int, batches: int) -> list[int]:
@@ -174,11 +185,10 @@ def estimate_section_volume(p: float, a, spec: McSpec, stream_domain: int = 0) -
 
     g2 = gamma(1.0 + 2.0 / p)
     arr = a.as_array()
-    base = RngStream(spec.seed, stream_domain)
 
     def batch_mean(job):
         bi, bn = job
-        return float(_draw_batch(p, arr, base.substream(bi).generator, bn).mean())
+        return float(_draw_batch(p, arr, _batch_generator(spec.seed, stream_domain, bi), bn).mean())
 
     with ThreadPoolExecutor(_workers()) as ex:
         # map yields in batch order, whatever order the batches finish in
@@ -203,9 +213,9 @@ def clt_experiment(p: float, n_list: Sequence[int], spec: McSpec) -> list[CltRow
     c_p = 2 Gamma(1+2/p) / Gamma(1+4/p).
 
     Row n estimates E |X_n|^(-2) with X_n = n^(-1/2) sum R_j xi_j, i.e.
-    the diagonal-direction volume estimate divided by Gamma(1+2/p); each
-    n draws from its own substream family.  At p = inf the moduli are
-    deterministic and the target is 2.
+    the diagonal-direction volume estimate divided by Gamma(1+2/p); row n
+    draws from the batch generators of stream domain n.  At p = inf the
+    moduli are deterministic and the target is 2.
     """
     p = validate_exponent(p)
     g2 = gamma(1.0 + 2.0 / p)

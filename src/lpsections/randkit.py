@@ -1,12 +1,13 @@
-"""Deterministic, splittable samplers for the two laws behind the Monte
-Carlo volume representation: the radial modulus law and the uniform law
-on the 3-sphere.
+"""Deterministic random streams and samplers for the two laws behind the
+Monte Carlo volume representation: the radial modulus law and the uniform
+law on the 3-sphere.
 
-Streams are built on the counter-based Philox generator keyed by
-(seed, stream_id): identical keys reproduce identical draw sequences on
-any machine and thread count, distinct keys give statistically
-independent streams.  A stream is a stateful consumable; never draw from
-one stream concurrently.  Parallel consumers take distinct stream ids.
+RngStream is the counter-based Philox generator keyed by (seed,
+stream_id): identical keys reproduce identical draw sequences on any
+machine, distinct keys give statistically independent streams.  It
+draws the optimizer's random starts; the Monte Carlo engine keys its
+batches itself (montecarlo._batch_generator).  A stream is a stateful
+consumable; never draw from one stream concurrently.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ import math
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
 
 
 class RngStream:
@@ -41,11 +35,6 @@ class RngStream:
             key = np.array([self.seed, self.stream_id], dtype=np.uint64)
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
-
-    def substream(self, index: int) -> "RngStream":
-        """Independent child stream for worker `index` (0-based)."""
-        mixed = _splitmix64(self.stream_id ^ _splitmix64((int(index) + 1) & _MASK64))
-        return RngStream(self.seed, mixed)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -297,7 +297,8 @@ class TestFlags:
 class TestBadInput:
     MC = ["--engine", "mc", "--samples", "100"]
     CASES = [
-        # RngStream keys on the seed modulo 2^64: -1 aliased 2^64 - 1
+        # McSpec rejects seeds outside [0, 2^64); the optimizer's RngStream
+        # keys on the seed modulo 2^64, where -1 would alias 2^64 - 1
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", "-1"], "--seed"),
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", str(2 ** 64)], "--seed"),
         (["clt", "--p", "4", "--n-list", "2", "--samples", "1000", "--seed", "-1"], "--seed"),

@@ -29,13 +29,13 @@ def rb_oracle(u: float, v: float, order: int = 400) -> float:
 def plain_batch_means(p, a, spec):
     """Batch means of the raw estimator Gamma(1+2/p) |sum_j a_j R_j xi_j|^(-2),
     whose second moment diverges, drawn with sphere points from the
-    substreams of mc.estimate_section_volume (its chunks and draw order
-    differ: it draws merge scalars, not sphere points)."""
+    batch generators of mc.estimate_section_volume (its chunks and draw
+    order differ: it draws merge scalars, not sphere points)."""
     a = canonicalize(a).as_array()
     n = a.size
     means = []
     for bi, count in enumerate(mc._batch_sizes(spec.samples, mc._BATCHES)):
-        gen = RngStream(spec.seed, 0).substream(bi).generator
+        gen = mc._batch_generator(spec.seed, 0, bi)
         chunk = max(1, min(count, (1 << 21) // (4 * n)))
         vals = []
         for done in range(0, count, chunk):
@@ -95,6 +95,34 @@ class TestMcSpec:
         with pytest.raises(ValueError):
             mc.McSpec(samples=31)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits(self, seed):
+        # rejected here, not by SeedSequence inside a batch's worker thread
+        with pytest.raises(ValueError, match="seed"):
+            mc.McSpec(samples=64, seed=seed)
+        assert mc.McSpec(samples=64, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+class TestBatchKeys:
+    """Batch b of the estimate keyed by (seed, domain) has its own stream."""
+
+    def test_distinct_and_stable(self):
+        def draws():
+            return [mc._batch_generator(5, 3, b).random(4).tobytes() for b in range(mc._BATCHES)]
+
+        first = draws()
+        assert len(set(first)) == mc._BATCHES
+        assert draws() == first
+
+    def test_seed_and_domain_do_not_alias(self):
+        # as list entropy, (7 + 5 * 2^32, 0) and (7, 5) give one state
+        alias = [np.random.SeedSequence(e).generate_state(4) for e in ([7 + 5 * 2 ** 32, 0], [7, 5])]
+        assert np.array_equal(*alias)
+        for b in (0, 1, mc._BATCHES - 1):
+            x = mc._batch_generator(7 + 5 * 2 ** 32, 0, b).random(8)
+            y = mc._batch_generator(7, 5, b).random(8)
+            assert not np.array_equal(x, y)
+
 
 class TestEstimator:
     def test_polydisc_two_equal_exact(self):
@@ -142,10 +170,10 @@ class TestEstimator:
     def test_per_draw_bounded_by_peak_term(self):
         a = Direction.diagonal(5).as_array()
         vals = mc._draw_batch(3.0, a, RngStream(21, 0).generator, 10_000)
-        # 10 000 draws fit one chunk, which draws its radial moduli first:
-        # a twin generator reproduces them and so max_j a_j R_j per draw
+        # 10 000 draws fit one (n, m) chunk, which draws its radial moduli
+        # first: a twin generator reproduces them and so max_j a_j R_j per draw
         twin = RngStream(21, 0).generator
-        vmax = (a[None, :] * radial_array(3.0, (10_000, a.size), twin)).max(axis=1)
+        vmax = (a[:, None] * radial_array(3.0, (a.size, 10_000), twin)).max(axis=0)
         assert np.all(vals <= 1.0 / vmax ** 2 + 1e-12)
 
 
@@ -199,8 +227,7 @@ class TestMergedNorms:
         stats = pytest.importorskip("scipy.stats")
         m = 20_000
         mags = np.tile(np.array(b), (m, 1))
-        merged = mc._merged_norms(mags, RngStream(41, 0).generator)
-        assert np.all(mags == b)  # the magnitudes are left unchanged
+        merged = mc._merged_norms(mags.T.copy(), RngStream(41, 0).generator)
         vec = np.einsum("ij,ijk->ik", mags, sphere3_array((m, len(b)), RngStream(42, 0).generator))
         direct = np.sqrt(np.einsum("ik,ik->i", vec, vec))
         assert stats.ks_2samp(merged, direct).pvalue > 1e-3
@@ -211,7 +238,7 @@ class TestMergedNorms:
         a = Direction([0.8, 0.6]).as_array()
         vals = mc._draw_batch(4.0, a, RngStream(23, 0).generator, 10_000)
         twin = RngStream(23, 0).generator
-        vmax = (a[None, :] * radial_array(4.0, (10_000, 2), twin)).max(axis=1)
+        vmax = (a[:, None] * radial_array(4.0, (2, 10_000), twin)).max(axis=0)
         assert np.array_equal(vals, 1.0 / (vmax * vmax))
 
 

@@ -24,12 +24,6 @@ class TestStreams:
         b = rk.RngStream(42, 1).generator.random(1000)
         assert not np.array_equal(a, b)
 
-    def test_substreams_distinct_and_stable(self):
-        s = rk.RngStream(5, 3)
-        ids = {s.substream(i).stream_id for i in range(100)}
-        assert len(ids) == 100
-        assert s.substream(17).stream_id == s.substream(17).stream_id
-
 
 class TestRadial:
     def test_degenerate_law(self):

@@ -19,15 +19,15 @@ p = 1 to inf (one whose kernel skips its table, one at p = 1 whose
 loose target lets the kernel read its table, one whose outer tail
 bound leaves a small coordinate out of its power law, one on a diagonal
 of 1000 coordinates, one whose outer rule takes a single panel), Monte
-Carlo volumes (odd and even n, finite p and p = inf, and a spread
+Carlo volumes (odd and even n, finite p and p = inf, a spread
 direction whose largest drawn magnitude moves between coordinates from
-draw to draw) and closed forms
-(finite p and p = inf), a direction whose sum of squares underflows,
+draw to draw, and a zero-padded direction) and closed forms
+(finite p, p = 1e4 and p = inf), a direction whose sum of squares underflows,
 the usage (2) and non-convergence (3) exits, a kernel grid whose step is not dyadic,
 a kernel whose cutoff the truncation bound decides, a crossing scan,
 the Lipschitz suite, four clt tables (one at p = inf, one whose batches
-span several chunks), and the optimizer on n = 2 (closed forms only)
-and n = 3 (quadrature).  It runs in under a minute on two cores.
+span several chunks), and the optimizer on n = 2 (closed forms only,
+also at p = 1e300) and n = 3 (quadrature).  It runs in under a minute on two cores.
 Standard library only.
 """
 
@@ -70,7 +70,11 @@ LINES = [
     "volume --p inf --diag 5 --engine mc --samples 20000 --seed 4",
     # the largest a_j R_j is not always the first coordinate's
     "volume --p 3 --a 1,0.9,0.5,0.5,0.2 --engine mc --samples 20000 --seed 13",
+    # 398 zero coordinates: drawn as the two nonzero ones alone
+    "volume --p 4 --a2 400 --engine mc --samples 20000 --seed 1",
     "volume --p 4 --a2 3 --engine closed",
+    # b1^p + b2^p underflows to 0 here
+    "volume --p 1e4 --a 0.8,0.6 --engine closed",
     "volume --p inf --a2 3 --engine closed",
     # usage errors (exit 2)
     "volume --p 0.5 --diag 3 --engine quad",
@@ -103,6 +107,7 @@ LINES = [
     "clt --p 4 --n-list 1024 --samples 8192 --seed 8",
     "optimize --p 4 --n 2 --engine quad --budget 20",
     "optimize --p 4 --n 3 --engine quad --budget 15 --seed 1",
+    "optimize --p 1e300 --n 2 --engine quad --budget 8",
 ]
 
 # columns that carry an error bound, or a figure computed from one

@@ -70,9 +70,8 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_seed(text: str) -> int:
-    # McSpec accepts only [0, 2^64), the Monte Carlo batches' SeedSequence
-    # entropy; the optimizer's RngStream keys on the seed modulo 2^64, so
-    # larger or negative seeds would alias its starts
+    # McSpec and the optimizer's RngStream both accept only [0, 2^64) and
+    # raise ValueError outside it; checking here names the flag
     seed = int(text)
     if not 0 <= seed < 2 ** 64:
         raise argparse.ArgumentTypeError("--seed must be in [0, 2^64)")

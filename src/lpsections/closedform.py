@@ -9,7 +9,6 @@ closed engine.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .direction import NORM_TOL, canonicalize, validate_exponent
@@ -34,9 +33,10 @@ def a2_general(p: float, b1: float, b2: float) -> float:
         # equal coordinates reduce to 2^(1-2/p) exactly; evaluating the
         # p-norm form would round the last ulp
         return a2_closed_form(p)
-    if math.isinf(p):
-        return max(b1, b2) ** -2.0
-    return (b1 ** p + b2 ** p) ** (-2.0 / p)
+    # (b1^p + b2^p)^(-2/p) with the larger coordinate factored out, so the
+    # sum cannot underflow at large p; at p = inf it is max(b1, b2)^(-2)
+    big, small = max(b1, b2), min(b1, b2)
+    return big ** -2.0 * (1.0 + (small / big) ** p) ** (-2.0 / p)
 
 
 def section_value(p: float, a) -> Optional[float]:

@@ -32,10 +32,13 @@ the number of partial sums and drawing one T = sqrt(U) cos(2 pi V) per
 merged pair from two uniforms.  A draw costs one radial modulus and two
 uniforms per coordinate, where sphere points cost four normals.
 
-Sampling is batched: batch b of an estimate keyed by (seed, domain)
-draws from PCG64DXSM seeded by SeedSequence(seed, spawn_key=(domain, b))
-(_batch_generator); numpy pads the seed to its pool size before it
-appends the key, so no two (seed, domain, b) share a stream.  The batch
+Only the n nonzero coordinates are drawn: a zero coordinate adds nothing
+to the sum, so a zero-padded direction gives the bits of its unpadded
+form at its cost.  Sampling is batched: batch b of an estimate with seed
+s draws from PCG64DXSM seeded by SeedSequence(s, spawn_key=(n, b))
+(_batch_generator), so the stream is keyed by the inputs alone; numpy
+pads the seed to its pool size before it appends the key, so no two
+(s, n, b) share a stream.  The batch
 means are reduced in batch order.  The batches run on a thread pool with
 one worker per core available to the process (at most one per batch);
 numpy's random fills and ufuncs release the GIL.  Since every batch owns
@@ -160,9 +163,10 @@ def _workers() -> int:
     return max(1, min(cores, _BATCHES))
 
 
-def _batch_generator(seed: int, domain: int, index: int) -> np.random.Generator:
-    """The generator of batch `index` of the estimate keyed by (seed, domain)."""
-    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(domain, index))))
+def _batch_generator(seed: int, n: int, index: int) -> np.random.Generator:
+    """The generator of batch `index` of the estimate with seed `seed` over
+    n nonzero coordinates."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(n, index))))
 
 
 def _batch_sizes(samples: int, batches: int) -> list[int]:
@@ -170,7 +174,7 @@ def _batch_sizes(samples: int, batches: int) -> list[int]:
     return [base + (1 if b < extra else 0) for b in range(batches)]
 
 
-def estimate_section_volume(p: float, a, spec: McSpec, stream_domain: int = 0) -> VolumeResult:
+def estimate_section_volume(p: float, a, spec: McSpec) -> VolumeResult:
     """Monte Carlo estimate of the normalized section volume.
 
     The value is the mean of the batch means and err_bound its standard
@@ -184,11 +188,11 @@ def estimate_section_volume(p: float, a, spec: McSpec, stream_domain: int = 0) -
     from concurrent.futures import ThreadPoolExecutor  # not at import, so start-up time stays the same
 
     g2 = gamma(1.0 + 2.0 / p)
-    arr = a.as_array()
+    arr = np.array(a.nonzero())
 
     def batch_mean(job):
         bi, bn = job
-        return float(_draw_batch(p, arr, _batch_generator(spec.seed, stream_domain, bi), bn).mean())
+        return float(_draw_batch(p, arr, _batch_generator(spec.seed, arr.size, bi), bn).mean())
 
     with ThreadPoolExecutor(_workers()) as ex:
         # map yields in batch order, whatever order the batches finish in
@@ -212,19 +216,19 @@ def clt_experiment(p: float, n_list: Sequence[int], spec: McSpec) -> list[CltRow
     dimensions, against its Gaussian-limit target
     c_p = 2 Gamma(1+2/p) / Gamma(1+4/p).
 
-    Row n estimates E |X_n|^(-2) with X_n = n^(-1/2) sum R_j xi_j, i.e.
-    the diagonal-direction volume estimate divided by Gamma(1+2/p); row n
-    draws from the batch generators of stream domain n.  At p = inf the
-    moduli are deterministic and the target is 2.
+    Row n estimates E |X_n|^(-2) with X_n = n^(-1/2) sum R_j xi_j: it is
+    exactly the n-diagonal volume estimate at the same spec divided by
+    Gamma(1+2/p).  Every dimension is checked before any is drawn.  At
+    p = inf the moduli are deterministic and the target is 2.
     """
     p = validate_exponent(p)
+    ns = [int(n) for n in n_list]
+    if any(n < 2 for n in ns):
+        raise ValueError("each dimension must be >= 2")
     g2 = gamma(1.0 + 2.0 / p)
     target = 2.0 * g2 / gamma(1.0 + 4.0 / p)
     rows = []
-    for n in n_list:
-        n = int(n)
-        if n < 2:
-            raise ValueError("each dimension must be >= 2")
-        res = estimate_section_volume(p, Direction.diagonal(n), spec, stream_domain=n)
+    for n in ns:
+        res = estimate_section_volume(p, Direction.diagonal(n), spec)
         rows.append(CltRow(n, res.value / g2, res.err_bound / g2, target))
     return rows

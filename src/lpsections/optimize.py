@@ -127,7 +127,8 @@ def maximize_direction(
 
     Multi-start Nelder-Mead in the squared-weight parameterization;
     starts are the two-coordinate direction, the main diagonal, and
-    seeded random points.  budget caps the engine evaluations: the first
+    random points from the Philox stream keyed by (seed, 0), seed in
+    [0, 2^64).  budget caps the engine evaluations: the first
     k = min(4, budget // (n + 2)) starts run, with budget // k each, so
     budget must be at least n + 2.  Convergence means the final simplex
     diameter in w dropped below tol.  Every evaluation is a quadrature

@@ -2,12 +2,14 @@
 Monte Carlo volume representation: the radial modulus law and the uniform
 law on the 3-sphere.
 
-RngStream is the counter-based Philox generator keyed by (seed,
-stream_id): identical keys reproduce identical draw sequences on any
-machine, distinct keys give statistically independent streams.  It
-draws the optimizer's random starts; the Monte Carlo engine keys its
-batches itself (montecarlo._batch_generator).  A stream is a stateful
-consumable; never draw from one stream concurrently.
+RngStream(seed, stream_id).generator is the counter-based Philox
+generator keyed by the pair, each of which must lie in [0, 2^64): the
+key is the caller's input itself, so identical keys reproduce identical
+draw sequences on any machine, distinct keys give statistically
+independent streams, and no two keys share one.  It draws the
+optimizer's random starts; the Monte Carlo engine keys its batches
+itself (montecarlo._batch_generator).  A generator is a stateful
+consumable; never draw from one concurrently.
 """
 
 from __future__ import annotations
@@ -16,28 +18,14 @@ import math
 
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 class RngStream:
-    """A (seed, stream_id)-keyed deterministic random stream."""
-
-    __slots__ = ("seed", "stream_id", "_gen")
+    """The Philox generator keyed by (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
-        self._gen = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-        return self._gen
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
+            raise ValueError(f"seed and stream_id must be in [0, 2^64), got ({seed}, {stream_id})")
+        self.generator = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
 
 
 def radial_array(p: float, size, gen: np.random.Generator) -> np.ndarray:

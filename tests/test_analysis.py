@@ -23,6 +23,13 @@ class TestClosedForms:
         assert an.a2_general(3.0, 0.8, 0.6) == pytest.approx(expected, rel=1e-14)
         assert an.a2_general(INF, 0.8, 0.6) == pytest.approx(0.8 ** -2, rel=1e-14)
 
+    @pytest.mark.parametrize("p", [1e4, 1e300, INF])
+    def test_a2_general_extreme_p(self, p):
+        # b1^p + b2^p underflowed to 0 at large p: 0^(-2/p) raised
+        # ZeroDivisionError; the value tends to max(b1, b2)^(-2)
+        assert an.a2_general(p, 0.8, 0.6) == 0.8 ** -2
+        assert an.a2_general(p, 0.6, 0.8) == an.a2_general(p, 0.8, 0.6)
+
     def test_a2_general_normalization_error(self):
         with pytest.raises(ValueError):
             an.a2_general(3.0, 0.8, 0.7)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -297,8 +298,8 @@ class TestFlags:
 class TestBadInput:
     MC = ["--engine", "mc", "--samples", "100"]
     CASES = [
-        # McSpec rejects seeds outside [0, 2^64); the optimizer's RngStream
-        # keys on the seed modulo 2^64, where -1 would alias 2^64 - 1
+        # seeds must lie in [0, 2^64): McSpec and the optimizer's RngStream
+        # both reject the rest, and lpsec names the flag
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", "-1"], "--seed"),
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", str(2 ** 64)], "--seed"),
         (["clt", "--p", "4", "--n-list", "2", "--samples", "1000", "--seed", "-1"], "--seed"),
@@ -317,6 +318,16 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert named in captured.err
+
+    def test_clt_checks_every_dimension_before_drawing(self, capsys, monkeypatch):
+        # the 256 row was estimated before n = 1 was rejected
+        from lpsections import montecarlo as mc
+        calls = []
+        monkeypatch.setattr(mc, "estimate_section_volume", lambda *a: calls.append(a))
+        code = cli.main(["clt", "--p", "4", "--n-list", "256,1", "--samples", "400000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        assert captured.err.count("\n") == 1
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         # it printed a traceback and exited 1, the failed-suite code
@@ -338,6 +349,27 @@ class TestOutputPath:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestExtremeExponents:
+    """Every engine on a few directions at the ends of the exponent range
+    either answers or exits with a documented code and one stderr line."""
+
+    P = ["1", "1.0000001", "2", "1e4", "1e14", "1e300", "inf"]
+    DIRECTIONS = [["--a", "0.8,0.6"], ["--diag", "3"], ["--a", "1,0.5,1e-3"]]
+    ENGINES = [["--engine", "closed"], ["--engine", "quad", "--tol", "1e-2"],
+               ["--engine", "mc", "--samples", "64"]]
+    CASES = [["volume", "--p", p, *d, *e] for p, d, e in itertools.product(P, DIRECTIONS, ENGINES)]
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(c[2:]) for c in CASES])
+    def test_documented_exit(self, argv, capsys):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        assert err.count("\n") <= 1
+        assert elapsed < 2.0
 
 
 class TestDeterminism:

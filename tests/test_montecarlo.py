@@ -29,13 +29,14 @@ def rb_oracle(u: float, v: float, order: int = 400) -> float:
 def plain_batch_means(p, a, spec):
     """Batch means of the raw estimator Gamma(1+2/p) |sum_j a_j R_j xi_j|^(-2),
     whose second moment diverges, drawn with sphere points from the
-    batch generators of mc.estimate_section_volume (its chunks and draw
-    order differ: it draws merge scalars, not sphere points)."""
-    a = canonicalize(a).as_array()
+    batch generators of mc.estimate_section_volume, keyed by the
+    coordinate count (its chunks and draw order differ: it draws merge
+    scalars, not sphere points)."""
+    a = np.array(canonicalize(a).nonzero())
     n = a.size
     means = []
     for bi, count in enumerate(mc._batch_sizes(spec.samples, mc._BATCHES)):
-        gen = mc._batch_generator(spec.seed, 0, bi)
+        gen = mc._batch_generator(spec.seed, n, bi)
         chunk = max(1, min(count, (1 << 21) // (4 * n)))
         vals = []
         for done in range(0, count, chunk):
@@ -104,7 +105,8 @@ class TestMcSpec:
 
 
 class TestBatchKeys:
-    """Batch b of the estimate keyed by (seed, domain) has its own stream."""
+    """Batch b of the estimate with a given seed over n nonzero coordinates
+    has its own stream, keyed by (seed, n, b)."""
 
     def test_distinct_and_stable(self):
         def draws():
@@ -114,7 +116,7 @@ class TestBatchKeys:
         assert len(set(first)) == mc._BATCHES
         assert draws() == first
 
-    def test_seed_and_domain_do_not_alias(self):
+    def test_seed_and_coordinate_count_do_not_alias(self):
         # as list entropy, (7 + 5 * 2^32, 0) and (7, 5) give one state
         alias = [np.random.SeedSequence(e).generate_state(4) for e in ([7 + 5 * 2 ** 32, 0], [7, 5])]
         assert np.array_equal(*alias)
@@ -160,6 +162,26 @@ class TestEstimator:
         assert abs(r_rb.value - np.median(bm_pl)) <= 4.0 * combined
         v_rb = np.var(r_rb.meta["batch_values"], ddof=1)
         assert v_rb < np.var(bm_pl, ddof=1)  # same seeds, strictly smaller spread
+
+    def test_zero_padding_changes_no_bit(self):
+        spec = mc.McSpec(samples=4000, seed=3)
+        padded = mc.estimate_section_volume(4.0, Direction([1.0, 0.8, 0.6, 0.0, 0.0]), spec)
+        plain = mc.estimate_section_volume(4.0, Direction([1.0, 0.8, 0.6]), spec)
+        assert (padded.value, padded.err_bound) == (plain.value, plain.err_bound)
+        assert padded.meta["batch_values"] == plain.meta["batch_values"]
+
+    def test_only_nonzero_coordinates_are_drawn(self, monkeypatch):
+        # a radial modulus per zero coordinate made --a2 2000 cost 1000 times --a2 2
+        rows = []
+        radial = mc.radial_array
+
+        def counting(p, size, gen):
+            rows.append(size[0])
+            return radial(p, size, gen)
+
+        monkeypatch.setattr(mc, "radial_array", counting)
+        mc.estimate_section_volume(4.0, Direction.two_equal(2000), mc.McSpec(samples=64, seed=1))
+        assert rows and set(rows) == {2}
 
     def test_reproducible_bit_for_bit(self):
         spec = mc.McSpec(samples=200_000, seed=9)
@@ -261,6 +283,14 @@ class TestCltExperiment:
         rows = mc.clt_experiment(4.0, [4, 16, 64], mc.McSpec(samples=200_000, seed=7))
         gaps = [abs(r.estimate - r.c_p_target) for r in rows]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_row_is_the_diagonal_volume(self):
+        spec = mc.McSpec(samples=4000, seed=5)
+        g2 = gamma(1.5)
+        for n in (2, 7):
+            row = mc.clt_experiment(4.0, [n], spec)[0]
+            vol = mc.estimate_section_volume(4.0, Direction.diagonal(n), spec)
+            assert row.estimate == vol.value / g2 and row.std_err == vol.err_bound / g2
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,9 @@ class TestMaximizeDirection:
             op.maximize_direction(4.0, 3, budget=4)
         with pytest.raises(ValueError, match="tol"):
             op.maximize_direction(4.0, 2, budget=8, tol=math.nan)
+        # a negative seed aliased the starts of seed 2^64 - 1
+        with pytest.raises(ValueError, match="seed"):
+            op.maximize_direction(4.0, 2, budget=8, seed=-1)
 
 
 class TestGridSearch:

@@ -24,6 +24,19 @@ class TestStreams:
         b = rk.RngStream(42, 1).generator.random(1000)
         assert not np.array_equal(a, b)
 
+    def test_draws_are_pinned(self):
+        # the Philox stream keyed by (42, 7) is part of the optimizer's output
+        got = rk.RngStream(42, 7).generator.random(4).tolist()
+        assert got == [0.649420079613736, 0.8848813535936771, 0.5537339411764371, 0.9529724189339113]
+
+    @pytest.mark.parametrize("key", [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)])
+    def test_key_outside_64_bits(self, key):
+        # masking to 64 bits made -1 an alias of 2^64 - 1
+        with pytest.raises(ValueError, match="seed"):
+            rk.RngStream(*key)
+        top = 2 ** 64 - 1
+        assert rk.RngStream(top, top).generator.random(2).shape == (2,)
+
 
 class TestRadial:
     def test_degenerate_law(self):

@@ -36,9 +36,10 @@ Error model
   terms alone miss the kernel target.  Arguments past it and panels
   whose bound exceeds the target take _Kernel.values, the one route off
   the table (the closed form, or the radial quadrature).
-* The outer integral is truncated at s_max, the first 4 * 1.3^k where a
+* The outer integral is truncated at s_max, the least cutoff where a
   rigorous envelope bound (tail_bound_outer, the least of a table of
-  power laws, each solved in closed form) meets tol_abs / 2, and
+  power laws, each solved in closed form) meets tol_abs / 2, times
+  1 + 2^-30 to absorb the solve's rounding, and
   integrated by one 24-node Gauss-Legendre rule on n equal panels, n
   the fewest whose certified bound (ATAP Thm 19.3, from the same strip
   bound, which tends to 1 for thin strips, so that the product of one
@@ -53,15 +54,16 @@ never split) and waves of outer panels, whatever the number of
 coordinates.  The batches change no bit.
 
 The one setting is tol_abs.  A call whose certified bound misses it,
-or whose rule bound needs more than _PANEL_BUDGET outer panels, raises
-NonConvergenceError.
+whose cutoff is past the double range, or whose rule bound needs more
+than _PANEL_BUDGET outer panels, raises NonConvergenceError.
 
 Results depend only on the arguments.  The only shared state is two
 lazily filled caches: the kernels (one per p and kernel target, each
 with its interpolation bound and table) and the Gauss-Legendre nodes.
 A table panel depends only on (p, kernel target, panel index), and a
 table grows by swapping in new arrays, so concurrent calls stay safe and
-cache state never shows in a result.
+cache state never shows in a value or a bound (only meta's kernel_nodes,
+the nodes a call added, depends on it).
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def _log_strip_max(p: float, b: np.ndarray) -> np.ndarray:
         blk = b[start:start + rows]
         with np.errstate(over="ignore"):
             r_t = (blk / (t * p)) ** (1.0 / (p - 1.0))
-        out[start:start + rows] = np.min(((1.0 - 1.0 / p) * blk) * r_t - (2.0 / p) * np.log1p(-t), axis=0)
+            out[start:start + rows] = np.min(((1.0 - 1.0 / p) * blk) * r_t - (2.0 / p) * np.log1p(-t), axis=0)
     return out
 
 
@@ -553,7 +555,9 @@ def _tail_laws(p: float, b: np.ndarray):
     e = q * np.arange(1, b.size + 1) - 2.0
     ok = e > 0.0
     log_k = np.cumsum(np.log(c) - q * np.log(b), axis=1) - np.log(np.where(ok, e, 1.0))
-    return log_k[ok], e[ok], (x_min / b)[ok]
+    # x_min / b overflows for a subnormal b: inf, a law valid nowhere
+    with np.errstate(over="ignore"):
+        return log_k[ok], e[ok], (x_min / b)[ok]
 
 
 def tail_bound_outer(p: float, a, s_max: float) -> float:
@@ -594,9 +598,10 @@ def _outer_bound(p, coeffs, mults, s_max, n):
     Doubled for rounding; min over _RHO_GRID; it does not grow with n."""
     rho = _RHO_GRID
     h = 0.5 * s_max / n
-    log_m = mults @ _log_strip_max(p, np.outer(coeffs, 0.5 * h * (rho - 1.0 / rho)))
-    reach = 0.5 * s_max * (0.5 * s_max + 0.5 * h * (rho + 1.0 / rho))
+    # past the double range a term is inf: no finite bound on that ellipse
     with np.errstate(over="ignore"):
+        log_m = mults @ _log_strip_max(p, np.outer(coeffs, 0.5 * h * (rho - 1.0 / rho)))
+        reach = 0.5 * s_max * (0.5 * s_max + 0.5 * h * (rho + 1.0 / rho))
         bound = 2.0 * 64.0 / 15.0 * np.exp(log_m - 2 * _OUTER_ORDER * np.log(rho)) * reach / (rho * rho - 1.0)
     return float(np.min(bound))
 
@@ -612,9 +617,9 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
     sum by _OUTER_WEIGHT_ERR max|f|; products and sums take gamma_(N+2g+4)."""
     # bound(fail) > tol_quad or fail = 0; then bound = bound(n) <= tol_quad
     fail, n = 0, 1
-    while n > _PANEL_BUDGET or (bound := _outer_bound(p, coeffs, mults, s_max, n)) > tol_quad:
+    while (bound := _outer_bound(p, coeffs, mults, s_max, n)) > tol_quad:
         if n >= _PANEL_BUDGET:
-            raise NonConvergenceError(f"outer panel budget {_PANEL_BUDGET} exhausted")
+            raise NonConvergenceError(f"outer panel budget {_PANEL_BUDGET} exhausted at s_max {s_max:.6g}")
         fail, n = n, min(2 * n, _PANEL_BUDGET)
     while n - fail > 1:
         half_way = (fail + n) // 2
@@ -660,23 +665,23 @@ def _outer_adaptive(p, coeffs, mults, s_max, tol_quad, trunc_target):
     return total, bound + rounding, prop, n, _OUTER_ORDER * n * coeffs.size, nodes, interp_bound
 
 
-# the cutoffs s_max may take: 4 * 1.3^k, k < 260, as running products
-_S_GRID = 4.0 * np.multiply.accumulate(np.r_[1.0, np.full(259, 1.3)])
-
-
 def _auto_s_max(p, a, prefactor, tol_abs):
     """(s_max, prefactor * tail_bound_outer at s_max <= tol_abs / 2): the
-    first point of _S_GRID at or past the least S where a law of _tail_laws
-    is valid and meets tol_abs / 2, or the next if rounding fails there."""
+    least S where a law of _tail_laws is valid and meets tol_abs / 2,
+    solved in closed form per law, times 1 + 2^-30 (NonConvergenceError
+    past the double range)."""
     log_k, expo, s_lo = _tail_laws(p, np.array(a.nonzero()))
     with np.errstate(divide="ignore", over="ignore"):
         need = np.min(np.maximum(s_lo, np.exp((log_k - np.log(0.5 * tol_abs / prefactor)) / expo)))
-    for s in _S_GRID[min(int(np.searchsorted(_S_GRID, need)), _S_GRID.size - 1):]:
-        tail = prefactor * tail_bound_outer(p, a, float(s))
-        if tail <= 0.5 * tol_abs:
-            return float(s), tail
-    raise NonConvergenceError(f"outer tail bound cannot reach tol_abs/2 = {0.5 * tol_abs:.3e}: "
-                              f"tail {tail:.3e} at s_max {s:.6g}, the last tried")
+    # every law has exponent e >= 1, so this factor lowers its tail by at
+    # least 9e-10 relative: far above the ~1e-13 relative rounding of the
+    # solve exp((log K - log target) / e) and of tail_bound_outer
+    s_max = float(need) * (1.0 + 2.0 ** -30)
+    tail = prefactor * tail_bound_outer(p, a, s_max) if s_max < math.inf else math.inf
+    if not tail <= 0.5 * tol_abs:
+        raise NonConvergenceError(f"outer tail bound cannot reach tol_abs/2 = {0.5 * tol_abs:.3e}: "
+                                  f"tail {tail:.3e} at s_max {s_max:.6g}")
+    return s_max, tail
 
 
 def section_volume_quadrature(p: float, a, tol_abs: float = 1e-8) -> VolumeResult:

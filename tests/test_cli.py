@@ -88,12 +88,18 @@ class TestVolume:
         assert "p=1e+20" in capsys.readouterr().err
 
     def test_tail_overflow_exits_3(self, capsys):
-        # the outer tail bound overflowed a double and exited 1 with a traceback
-        code = cli.main(["volume", "--p", "4", "--a", "1,1e-200,1e-200", "--engine", "quad"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (3, "")
-        assert "outer tail bound cannot reach tol_abs/2" in captured.err
-        assert "the last tried" in captured.err
+        # the outer tail bound overflowed a double and exited 1 with a
+        # traceback.  The cutoff it certifies is now past any panel budget,
+        # and the outer rule's bound must overflow quietly on the way; at
+        # 1e-308 the cutoff itself is past the double range
+        for tiny, refusal in (("1e-200", "outer panel budget 40000 exhausted at s_max "),
+                              ("1e-300", "outer panel budget 40000 exhausted at s_max "),
+                              ("1e-308", "outer tail bound cannot reach tol_abs/2")):
+            code = cli.main(["volume", "--p", "4", "--a", f"1,{tiny},{tiny}", "--engine", "quad"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err.count("\n") == 1
+            assert refusal in captured.err
 
 
 class TestDimensionLimit:
@@ -355,7 +361,7 @@ class TestExtremeExponents:
     """Every engine on a few directions at the ends of the exponent range
     either answers or exits with a documented code and one stderr line."""
 
-    P = ["1", "1.0000001", "2", "1e4", "1e14", "1e300", "inf"]
+    P = ["1", "1.0000001", "1.05", "2", "1e4", "1e14", "1e300", "inf"]
     DIRECTIONS = [["--a", "0.8,0.6"], ["--diag", "3"], ["--a", "1,0.5,1e-3"]]
     ENGINES = [["--engine", "closed"], ["--engine", "quad", "--tol", "1e-2"],
                ["--engine", "mc", "--samples", "64"]]

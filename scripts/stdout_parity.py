@@ -19,7 +19,8 @@ p = 1 to inf (one whose kernel skips its table, one at p = 1 whose
 loose target lets the kernel read its table, one at p = 1.05 whose
 interpolation bound overflows on part of its strip, one whose outer tail
 bound leaves a small coordinate out of its power law, one on a diagonal
-of 1000 coordinates, one whose outer rule takes a single panel), Monte
+of 1000 coordinates, one whose outer rule takes a single panel, one at
+p = 500 whose kernel table takes panels of width 8), Monte
 Carlo volumes (odd and even n, finite p and p = inf, a spread
 direction whose largest drawn magnitude moves between coordinates from
 draw to draw, and a zero-padded direction) and closed forms
@@ -65,6 +66,8 @@ LINES = [
     # the least outer tail law is a cut that leaves the small coordinate out
     "volume --p 40 --a 1,1,1,1,1e-3 --engine quad --tol 1e-6",
     "volume --p 140 --diag 6 --engine quad --tol 1e-6",
+    # kernel target 1e-12: the table's panels are 8 wide
+    "volume --p 500 --diag 3 --engine quad --tol 1e-7",
     # a long diagonal: the outer rule's strip bound must tend to 1 for thin strips
     "volume --p 2.3 --diag 1000 --engine quad --tol 1e-6",
     "volume --p inf --a 1,0.8,0.6 --engine quad --tol 1e-8 --format json",

@@ -26,16 +26,19 @@ Error model
   Thm 19.3; see _Kernel.direct).  The kernel's bound also covers the
   rounding of 2/Gamma(1+2/p) and of the panel sums.
 * For finite p the outer quadrature reads the kernel from a per-p
-  piecewise Chebyshev table (degree 24 on panels of width 2, nodes from
-  the radial quadrature).  Each table value carries a certified bound:
-  the kernel's x-uniform errors (truncation, flat head) once, the nodes'
-  bounds times the Lebesgue constant, the interpolation error (ATAP
-  Thm 8.2, from a bound on |k_p| in a strip, _log_strip_max), and
-  rounding.  The table covers arguments below the kernel's `extent`:
-  2 * 65536, or 0 at p = inf and where the uniform and interpolation
-  terms alone miss the kernel target.  Arguments past it and panels
-  whose bound exceeds the target take _Kernel.values, the one route off
-  the table (the closed form, or the radial quadrature).
+  piecewise Chebyshev table: degree 24 on panels of one width per
+  kernel, the widest power of two from 2 up whose interpolation bound
+  takes at most a third of the room the x-uniform errors leave in the
+  kernel target (8 from p ~ 5 on at kernel targets 1e-9 to 1e-13), with
+  nodes from the radial quadrature.  Each table value carries a
+  certified bound: the kernel's x-uniform errors (truncation, flat head)
+  once, the nodes' bounds times the Lebesgue constant, the
+  interpolation error (ATAP Thm 8.2, from a bound on |k_p| in a strip,
+  _log_strip_max), and rounding.  The table covers arguments below the
+  kernel's `extent`: 2^17, or 0 at p = inf and where the uniform and
+  interpolation terms alone miss the kernel target.  Arguments past it
+  and panels whose bound exceeds the target take _Kernel.values, the
+  one route off the table (the closed form, or the radial quadrature).
 * The outer integral is truncated at s_max, the least cutoff where a
   rigorous envelope bound (tail_bound_outer, the least of a table of
   power laws, each solved in closed form) meets tol_abs / 2, times
@@ -225,9 +228,9 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
 # The kernel per (p, target): its radial set-up and Chebyshev table
 # ---------------------------------------------------------------------------
 
-# Panel i covers [2i, 2i + 2] and carries the degree-24 interpolant of
-# k_p at the 25 Chebyshev points of the second kind mapped onto it.
-_CHEB_WIDTH = 2.0
+# Panel i of a kernel's table, of width w (_Kernel.width), covers
+# [w i, w i + w] and carries the degree-24 interpolant of k_p at the 25
+# Chebyshev points of the second kind mapped onto it.
 _CHEB_DEGREE = 24
 # Lebesgue constant bound of those points, 1 + (2/pi) ln(n + 1) (Trefethen,
 # Approximation Theory and Approximation Practice, Thm 15.2)
@@ -237,8 +240,9 @@ _RHO_GRID = np.geomspace(1.5, 256.0, 48)
 # splits b r - r^p = (b r - t r^p) - (1 - t) r^p tried by _log_strip_max:
 # small t for thin strips (the bound tends to 1 as b -> 0), t near 1 for wide
 _YOUNG_T = np.r_[np.geomspace(2.0 ** -50, 0.5, 50, endpoint=False), 1.0 - np.geomspace(0.5, 2.0 ** -20, 40)]
-# panels of a full table: _Kernel.extent is _CHEB_WIDTH times this
-_TABLE_MAX_PANELS = 1 << 16
+# arguments a full table covers, [0, 2^17): a whole number of panels
+# of any power-of-two width up to 2^17
+_TABLE_EXTENT = float(1 << 17)
 _U_LD = float(np.finfo(np.longdouble).epsneg)
 
 
@@ -269,18 +273,19 @@ def _log_strip_max(p: float, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interp_bound(p: float) -> float:
-    """Certified bound on |k - q| over any panel, q the degree-24
-    Chebyshev interpolant of k = k_p, or of the kernel that
-    kernel_values integrates (truncated at r_max, weight 1 on the flat
-    head, where e^-r^p > 1 - 2^-20).
+def _interp_bound(p: float, width: float) -> float:
+    """Certified bound on |k - q| over any panel of the given width, q
+    the degree-24 Chebyshev interpolant of k = k_p, or of the kernel
+    that kernel_values integrates (truncated at r_max, weight 1 on the
+    flat head, where e^-r^p > 1 - 2^-20).
 
     ATAP Thm 8.2 gives |k - q| <= 4 M rho^-n / (rho - 1) when |k| <= M
     on the Bernstein ellipse E_rho of the panel, which lies in the strip
-    |Im z| <= (rho - 1/rho)/2 (half-width 1); 1 + 1e-5 covers the flat
-    head and rounding.  The minimum over _RHO_GRID (at p = 1 over rho <
-    1 + sqrt(2), where the strip bound is finite)."""
-    log_m = _log_strip_max(p, 0.5 * (_RHO_GRID - 1.0 / _RHO_GRID))
+    |Im z| <= h (rho - 1/rho)/2, h = width/2 the half-width; 1 + 1e-5
+    covers the flat head (its weight is within 2^-20 of the strip
+    bound's, at any width) and rounding.  The minimum over _RHO_GRID
+    (at p = 1 over the rho where the strip bound is finite)."""
+    log_m = _log_strip_max(p, 0.25 * width * (_RHO_GRID - 1.0 / _RHO_GRID))
     with np.errstate(over="ignore"):
         bound = 4.0 * (1.0 + 1e-5) * np.exp(log_m - _CHEB_DEGREE * np.log(_RHO_GRID)) / (_RHO_GRID - 1.0)
     return float(np.min(bound))
@@ -327,14 +332,23 @@ class _Kernel:
     """k_p for one (p, trunc_target): the truncation bound `cert`, the
     radial `cells`, the flat head's weight bound `head_cert`, the prefactor
     `pref` = 2/Gamma(1+2/p) and the x-uniform error `uniform` of the
-    radial quadrature `direct`, the interpolation bound `interp`
-    (_interp_bound), and a piecewise Chebyshev table filled panel by
-    panel on demand for arguments below `extent`.  `values` is the one
-    route off the table.  `extent` is 0.0 where no table panel could
-    pass, so that lookup never reads the table: at p = inf (a closed
-    form, which holds nothing else) and wherever uniform + interp alone
-    misses trunc_target (p at or near 1 at tight targets: at p = 1,
-    interp is 1.7e-6).
+    radial quadrature `direct`, the table's panel `width` and its
+    interpolation bound `interp` (_interp_bound), and a piecewise
+    Chebyshev table filled panel by panel on demand for arguments below
+    `extent`.  `values` is the one route off the table.  `extent` is 0.0
+    where no table panel could pass, so that lookup never reads the
+    table: at p = inf (a closed form, which holds nothing else) and
+    wherever uniform + interp alone misses trunc_target (p at or near 1
+    at tight targets: at p = 1 and width 2, interp is 1.7e-6).
+
+    `width` is the widest power of two from 2 up whose interpolation
+    bound is at most a third of trunc_target - uniform: that room holds
+    a panel's three other terms (the nodes' errors through the Lebesgue
+    constant, the interpolation error and rounding), and the nodes and
+    rounding keep the other two thirds.  It depends on (p, trunc_target)
+    alone.  Powers of two make x / width and (x - centre) / (width / 2)
+    exact scalings, so the map from x to a panel and its variable t adds
+    no rounding beyond the subtraction's.
 
     `state` is (coeffs, errs): coefficient rows (degree + 1, panels),
     lowest degree first, and one certified error per panel (inf where the
@@ -357,8 +371,11 @@ class _Kernel:
         self.head_cert = 2.0 ** -levels * 0.5 * self.cells[0] * self.cells[0]
         self.pref = 2.0 / gamma(1.0 + 2.0 / p)
         self.uniform = self.cert + self.pref * self.head_cert
-        self.interp = _interp_bound(p)
-        self.extent = _CHEB_WIDTH * _TABLE_MAX_PANELS if self.uniform + self.interp <= trunc_target else 0.0
+        room = (trunc_target - self.uniform) / 3.0
+        self.width, self.interp = 2.0, _interp_bound(p, 2.0)
+        while (wider := _interp_bound(p, 2.0 * self.width)) <= room:
+            self.width, self.interp = 2.0 * self.width, wider
+        self.extent = _TABLE_EXTENT if self.uniform + self.interp <= trunc_target else 0.0
 
     def values(self, x: np.ndarray):
         """(values, errors) off the table for nonnegative finite x: the
@@ -452,13 +469,17 @@ class _Kernel:
         * rounding: the longdouble transform and the coefficients'
           rounding to double, Clenshaw's local errors (|b_k| <=
           sum_j>=k (j-k+1)|c_j|, |T_j| <= 1), and the rounding of node
-          and query abscissae (u (1 + |x|) each, through |q'| <=
-          sum j^2 |c_j|, doubled for the interpolation error's slope).
+          and query abscissae, through |dq/dt| <= sum j^2 |c_j|, doubled
+          for the interpolation error's slope: in t, on a panel of
+          centre c and half-width h, each is within u (2 + (c + h) / h),
+          an error of u (2 h + c + h) in x over h (the node x = c + h t_k
+          with t_k within u of the exact Chebyshev point, the query t =
+          (x - c) / h, which rounds only in the subtraction).
         """
         t, dct = _CHEB_NODES, _CHEB_DCT
         n = _CHEB_DEGREE
-        half = 0.5 * _CHEB_WIDTH
-        centres = _CHEB_WIDTH * np.arange(first, stop, dtype=np.float64) + half
+        half = 0.5 * self.width
+        centres = self.width * np.arange(first, stop, dtype=np.float64) + half
         x = centres[:, None] + half * t[None, :]
         # neighbouring panels share their end nodes: evaluate each once
         xs, inverse = np.unique(x, return_inverse=True)
@@ -472,7 +493,7 @@ class _Kernel:
         mag = np.abs(coeffs)
         transform = _gamma_n(n + 3, _U_LD) * (np.abs(vals) @ np.abs(dct).astype(np.float64).T).sum(axis=1)
         clenshaw = 2.0 * _gamma_n(3, _U) * (mag @ (1.0 + 1.5 * j * (j + 1.0)))
-        abscissae = _U * (1.0 + _CHEB_LEBESGUE) * (2.0 + centres + half) * 2.0 * (mag @ (j * j))
+        abscissae = _U * (1.0 + _CHEB_LEBESGUE) * (2.0 * half + centres + half) / half * 2.0 * (mag @ (j * j))
         rounding = _U * mag.sum(axis=1) + transform + clenshaw + abscissae
         err = self.uniform + _CHEB_LEBESGUE * node + self.interp + rounding
         err[~(err <= self.trunc_target)] = math.inf
@@ -487,7 +508,7 @@ class _Kernel:
         if np.all(past):
             return (*self.values(x), 0, 0.0)
         # past points read panel 0 and go direct: they must not grow the table
-        idx = np.where(past, 0.0, x * (1.0 / _CHEB_WIDTH)).astype(np.intp)
+        idx = np.where(past, 0.0, x * (1.0 / self.width)).astype(np.intp)
         coeffs, errs = self.state
         need = int(idx.max()) + 1
         added = 0
@@ -497,7 +518,8 @@ class _Kernel:
             self.state = (coeffs, errs)
         err = errs.take(idx)
         err[past] = math.inf
-        t = x - (_CHEB_WIDTH * idx + 0.5 * _CHEB_WIDTH)
+        half = 0.5 * self.width
+        t = (x - (self.width * idx + half)) * (1.0 / half)
         vals = _clenshaw(coeffs, idx, t)
         direct = np.isinf(err)
         if np.any(direct):

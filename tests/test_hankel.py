@@ -498,10 +498,12 @@ class TestOuterBound:
     def test_interp_bound_overflows_quietly(self):
         # the strip bound's product overflowed outside its errstate and
         # warned for p in [1.0365, 1.054]; inf is the correct "no bound"
+        # (wider panels take wider strips, where it overflows sooner)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for p in np.linspace(1.0, 3.0, 401):
-                assert hk._interp_bound(float(p)) > 0.0
+                for width in (2.0, 4.0, 8.0, 16.0):
+                    assert hk._interp_bound(float(p), width) > 0.0
 
     @pytest.mark.parametrize("p", [1.5, 2.3, 4.0, 9.0, 500.0])
     def test_strip_max_tends_to_one_for_thin_strips(self, p):
@@ -811,12 +813,46 @@ class TestChebyshevKernelTable:
         dv, de = hk.kernel_values(p, x, trunc_target=trunc_target)
         assert np.all(np.abs(tv - dv) <= te + de)
 
+    @pytest.mark.parametrize("trunc_target", [1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("p", TABLE_PS)
+    def test_width(self, p, trunc_target):
+        # the widest power of two from 2 up whose interpolation bound takes
+        # at most a third of the room uniform leaves; the extent stays 2^17
+        kernel = hk._Kernel(p, trunc_target)
+        room = (trunc_target - kernel.uniform) / 3.0
+        assert kernel.width >= 2.0 and math.frexp(kernel.width)[0] == 0.5
+        assert kernel.width == 2.0 or kernel.interp <= room
+        assert hk._interp_bound(p, 2.0 * kernel.width) > room
+        assert kernel.interp == hk._interp_bound(p, kernel.width)
+        assert kernel.extent == 2.0 * 65536
+
+    def test_nodes_within_u_of_chebyshev_points(self):
+        # the abscissae term in _panels takes each t_k within u of cos(k pi / n)
+        mpmath = pytest.importorskip("mpmath")
+        n = hk._CHEB_DEGREE
+        with mpmath.workdps(40):
+            for k, t in enumerate(hk._CHEB_NODES):
+                assert abs(mpmath.mpf(float(t)) - mpmath.cos(mpmath.pi * k / n)) <= hk._U
+
     @pytest.mark.parametrize("p", [3.0, 9.0])
     def test_against_mpmath(self, p):
         x = np.array([0.0, 0.3, 1.0, 1.9, 2.0, 3.7, 6.1, 9.5, 14.2, 19.9])
-        tv, te, _, _ = hk._Kernel(p, 1e-13).lookup(x)
+        if p == 9.0:
+            # width 8: both ends and the interior of five panels
+            x = np.r_[x, 8.0, 16.0, 24.0, 27.3, 31.9, 32.0, 36.6, 39.99]
+        kernel = hk._Kernel(p, 1e-13)
+        tv, te, _, _ = kernel.lookup(x)
+        assert kernel.width == {3.0: 4.0, 9.0: 8.0}[p] and np.all(kernel.state[1] <= 1e-13)
         for xi, v, e in zip(x, tv, te):
             assert abs(v - mpmath_kernel(p, float(xi))) <= e
+
+    def test_cold_table_nodes(self):
+        # p = 9 at kernel target 1e-11 takes width 8: the outer rule reads
+        # x below 214 from 27 panels, 649 nodes (2 569 on width-2 panels)
+        hk._kernel.cache_clear()
+        res = hk.section_volume_quadrature(9.0, Direction.diagonal(3), 1e-6)
+        assert hk._kernel(9.0, 1e-11).width == 8.0
+        assert res.meta["kernel_nodes"] == 649
 
     def test_build_order_independent(self):
         stepwise = hk._Kernel(40.0, 1e-12)

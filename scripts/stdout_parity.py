@@ -25,7 +25,8 @@ Carlo volumes (odd and even n, finite p and p = inf, a spread
 direction whose largest drawn magnitude moves between coordinates from
 draw to draw, and a zero-padded direction) and closed forms
 (finite p, p = 1e4 and p = inf), a direction whose sum of squares underflows,
-the usage (2) and non-convergence (3) exits, a kernel grid whose step is not dyadic,
+the usage (2) and non-convergence (3) exits (one of them a kernel argument
+past the radial subpanel limit), a kernel grid whose step is not dyadic,
 a kernel whose cutoff the truncation bound decides, a crossing scan,
 the Lipschitz suite, four clt tables (one at p = inf, one whose batches
 span several chunks), and the optimizer on n = 2 (closed forms only,
@@ -98,6 +99,8 @@ LINES = [
     # non-convergence (exit 3)
     "volume --p 1e20 --diag 3 --engine quad",
     "volume --p 4 --a 1,1e-200,1e-200 --engine quad",
+    # a kernel argument past the radial subpanel limit, refused before any work
+    "kernel --p 4 --s-max 1e12 --step 1e11",
     # a direction whose sum of squares underflows, rescaled by its largest entry
     "volume --p 4 --a 1e-200,1e-200,1e-200 --engine quad --tol 1e-6",
     # the other subcommands

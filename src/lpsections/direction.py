@@ -9,7 +9,7 @@ Euclidean unit sphere.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -107,11 +107,3 @@ def canonicalize(entries) -> Direction:
     if isinstance(entries, Direction):
         return entries
     return Direction(entries)
-
-
-def euclidean_distance(a: Direction | Sequence[float], b: Direction | Sequence[float]) -> float:
-    va = a.as_array() if isinstance(a, Direction) else np.asarray(a, dtype=float)
-    vb = b.as_array() if isinstance(b, Direction) else np.asarray(b, dtype=float)
-    if va.size != vb.size:
-        raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(va - vb))

@@ -18,13 +18,14 @@ Error model
 * Kernel truncation at r_max is certified in closed form: with s = 2/p, X =
   r_max^p, |tail| <= 2/(Gamma(1+2/p) p) X^(s-1) e^-X (1 + max(s-1, 0)/X).
 * Kernel quadrature error is certified: radial cells graded dyadically
-  in u = r^p (so the weight varies by at most one octave per cell,
-  whatever p) are subdivided to quarter-period width (so each panel sees
-  at most one sign change of the oscillatory factor), and each subpanel
-  is integrated once with 12 Gauss-Legendre nodes, its error bounded by
-  the integrand's maximum on a Bernstein ellipse (Trefethen, ATAP
-  Thm 19.3; see _Kernel.direct).  The kernel's bound also covers the
-  rounding of 2/Gamma(1+2/p) and of the panel sums.
+  in u = r^p from the flat head to the cutoff (each at most 2^(1/p) - 1
+  times its left end wide, whatever p) are subdivided to quarter-period
+  width (so each panel sees at most one sign change of the oscillatory
+  factor), and each subpanel is integrated once with 12 Gauss-Legendre
+  nodes, its error bounded by the integrand's maximum on a Bernstein
+  ellipse (Trefethen, ATAP Thm 19.3; see _Kernel.direct).  The kernel's
+  bound also covers the rounding of 2/Gamma(1+2/p) and of the panel
+  sums.
 * For finite p the outer quadrature reads the kernel from a per-p
   piecewise Chebyshev table: degree 24 on panels of one width per
   kernel, the widest power of two from 2 up whose interpolation bound
@@ -57,8 +58,9 @@ never split) and waves of outer panels, whatever the number of
 coordinates.  The batches change no bit.
 
 The one setting is tol_abs.  A call whose certified bound misses it,
-whose cutoff is past the double range, or whose rule bound needs more
-than _PANEL_BUDGET outer panels, raises NonConvergenceError.
+whose cutoff is past the double range, whose rule bound needs more
+than _PANEL_BUDGET outer panels, or one of whose kernel arguments needs
+more than _ARG_SUBPANELS radial subpanels, raises NonConvergenceError.
 
 Results depend only on the arguments.  The only shared state is two
 lazily filled caches: the kernels (one per p and kernel target, each
@@ -173,23 +175,21 @@ def _weight(r: np.ndarray, p: float) -> np.ndarray:
 # subpanels and _outer_adaptive's waves of outer panels, so that their
 # temporaries stay small (_log_strip_max's blocks take as many entries)
 _BATCH_POINTS = 12 * 4096
+# radial subpanels one kernel argument may take: an argument's subpanels
+# form one block, so its temporaries grow like x r_max (2^19 subpanels is
+# x ~ 3.5e5 at p = 4), and _Kernel.direct refuses an argument that needs more
+_ARG_SUBPANELS = 2 ** 19
 
 
 def _weight_cells(p: float, r_max: float, levels: int):
-    """Radial cells graded in u = r^p: dyadic below u = 1 (`levels`
-    octaves), unit steps above, clipped at r_max.
+    """Radial cells graded dyadically in u = r^p, from u = 2^-levels to
+    the first power of two at or past r_max^p, clipped at r_max.
 
-    Dyadic-in-u grading keeps the per-panel variation of exp(-r^p) to at
-    most one octave, which Gauss-Legendre resolves to near machine
-    precision for every p (including the near-step transition at r = 1
-    when p is large and the fractional-power behaviour at r = 0 when p
-    is not an even integer).  Returns (r_flat, cell_lo, cell_w): the
-    flat head [0, r_flat] carries weight within 2^-levels of 1 and is
-    not panelled."""
-    us = np.concatenate([
-        2.0 ** np.arange(-levels, 0, dtype=np.float64),
-        np.arange(1.0, int(math.ceil(r_max ** p)) + 1, dtype=np.float64),
-    ])
+    Each cell is then at most 2^(1/p) - 1 times its left end wide, which
+    is all the Bernstein-ellipse certificate of _Kernel.direct needs, at
+    every p.  Returns (r_flat, cell_lo, cell_w): the flat head [0,
+    r_flat] carries weight within 2^-levels of 1 and is not panelled."""
+    us = 2.0 ** np.arange(-levels, math.ceil(math.log2(r_max ** p)) + 1, dtype=np.float64)
     edges = us ** (1.0 / p)
     edges = edges[edges < r_max]
     if edges.size == 0:
@@ -213,6 +213,8 @@ def kernel_values(p: float, x, trunc_target: float = 1e-13):
     Arguments that are all 0 return 1 with error 0 without setting a
     kernel up.
     """
+    if not 0.0 < trunc_target < math.inf:
+        raise ValueError(f"trunc_target must be finite and positive, got {trunc_target!r}")
     p = validate_exponent(p)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(x < 0.0):
@@ -404,11 +406,13 @@ class _Kernel:
         half, and |exp(-r^p)| <= exp(-near^p cos(p phi)), with near = mid
         - 2.6 half and phi = atan(2.4 half / near), if near > 0 and
         p phi < pi/2.  Both hold for rho = 5 at every p >= 1: a cell is at
-        most c = 2^(1/p) - 1 times its left end lo wide (dyadic in u = r^p
-        below 1, unit steps above, clipped at r_max), so near >= lo (1 -
-        0.8 c) >= 0.2 lo and p phi <= p atan(1.2 c / (1 - 0.8 c)) <= 1.43
-        (worst near p = 1.18); a subpanel's near and phi are no worse
-        than its cell's.
+        most c = 2^(1/p) - 1 times its left end lo wide (dyadic in u = r^p,
+        clipped at r_max), so near >= lo (1 - 0.8 c) >= 0.2 lo and p phi
+        <= p atan(1.2 c / (1 - 0.8 c)) <= 1.43 (worst near p = 1.18), with
+        equality on every unclipped cell; a subpanel's near and phi are no
+        worse than its cell's.  An argument that needs more than
+        _ARG_SUBPANELS subpanels raises NonConvergenceError before any
+        Bessel value is computed.
 
         Rounding: gamma_(k+14) times the sum of the terms' magnitudes for
         k subpanels per x (two products per node, the node sum and the
@@ -416,13 +420,18 @@ class _Kernel:
         three products and its addition, and the prefactor's."""
         gl_x, gl_w = _gl_nodes(_GL_ORDER)
         r_flat, cell_lo, cell_w = self.cells
-        head = 0.5 * r_flat * r_flat * _j1_normalized(x * r_flat)
         # exact subpanels per argument, one cell at a time: the (x, cell)
-        # counts form for one block only
+        # counts form for one block only (inf past the double range)
         per_x = np.zeros_like(x)
-        for w in cell_w:
-            per_x += np.maximum(np.ceil(x * w / (0.5 * math.pi)), 1.0)
+        with np.errstate(over="ignore"):
+            for w in cell_w:
+                per_x += np.maximum(np.ceil(x * w / (0.5 * math.pi)), 1.0)
+        # the counts grow with x: the largest argument needs the most
+        if per_x.max() > _ARG_SUBPANELS:
+            raise NonConvergenceError(f"kernel argument {x.max():.6g} needs {per_x.max():.6g} radial "
+                                      f"subpanels, past the limit of {_ARG_SUBPANELS} per argument")
         per_x = per_x.astype(np.int64)
+        head = 0.5 * r_flat * r_flat * _j1_normalized(x * r_flat)
         csum = np.cumsum(per_x)
         vals, bound, mags = np.empty_like(x), np.empty_like(x), np.empty_like(x)
         start = 0

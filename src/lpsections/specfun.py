@@ -186,11 +186,14 @@ def _bessel_tabulated(x: np.ndarray, order: int) -> np.ndarray:
 
 def _bessel_asymptotic(x: np.ndarray, order: int) -> np.ndarray:
     cp, cq = _J_ASYM[order]
-    z = 1.0 / (x * x)
-    p = _horner(z, cp)
-    q = _horner(z, cq) / x
-    chi = x - (0.5 * order + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    # x * x overflows to inf for |x| >~ 1.3e154 and pi * x for |x| >~ 5.7e307;
+    # 1 / inf is then exactly 0
+    with np.errstate(over="ignore"):
+        z = 1.0 / (x * x)
+        p = _horner(z, cp)
+        q = _horner(z, cq) / x
+        chi = x - (0.5 * order + 0.25) * math.pi
+        return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def _j_array(x: np.ndarray, order: int) -> np.ndarray:

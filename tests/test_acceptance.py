@@ -15,7 +15,7 @@ from lpsections import cli
 from lpsections import hankel as hk
 from lpsections import montecarlo as mc
 from lpsections import optimize as op
-from lpsections.direction import Direction, euclidean_distance
+from lpsections.direction import Direction
 
 INF = math.inf
 
@@ -146,7 +146,7 @@ class TestAcceptance:
     def test_11_resilience_probe_p500(self):
         rep = op.maximize_direction(500.0, 3, budget=160, tol=1e-2, seed=7)
         cap = 2.0 ** (1.0 - 2.0 / 500.0) + 1e-4
-        dist = euclidean_distance(rep.best, Direction.two_equal(3))
+        dist = float(np.linalg.norm(rep.best.as_array() - Direction.two_equal(3).as_array()))
         ok = rep.best_value.value <= cap and dist <= 0.05
         report("A-11 resilience probe", ok,
                f"best {rep.best_value.value:.8f} <= {cap:.8f}; |best - two-equal| = {dist:.4f} <= 0.05")

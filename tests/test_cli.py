@@ -188,6 +188,17 @@ class TestKernelTable:
             _, s, value, err = line.split(",")
             assert abs(float(value) - series_kernel(1.5, float(s))) <= float(err)
 
+    def test_argument_past_the_subpanel_limit_exits_3(self, capsys):
+        # 1e12 asked numpy for about 1 TiB (exit 4); 1e20 overflowed the
+        # int64 subpanel count (exit 2)
+        for s_max, step in (("1e12", "1e11"), ("1e20", "1e19")):
+            t0 = time.perf_counter()
+            code = cli.main(["kernel", "--p", "4", "--s-max", s_max, "--step", step])
+            assert time.perf_counter() - t0 < 1.0
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, "")
+            assert err.count("\n") == 1 and "radial subpanels" in err
+
     def test_huge_p_exits_3(self, capsys):
         code = cli.main(["kernel", "--p", "1e20", "--s-max", "1", "--step", "0.5"])
         assert code == 3

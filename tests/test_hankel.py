@@ -91,6 +91,13 @@ class TestKernel:
                 with pytest.raises(ValueError):
                     hk.kernel_values(p, np.array([1.0, bad]))
 
+    def test_trunc_target_domain(self):
+        # 0 raised ZeroDivisionError, -1 and inf a math domain error and nan
+        # NonConvergenceError
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="trunc_target"):
+                hk.kernel_values(4.0, np.array([1.0]), trunc_target=bad)
+
     def test_modulus_bounded_by_one(self):
         s = np.linspace(0.0, 50.0, 26)
         for p in P_GRID:
@@ -755,6 +762,58 @@ class TestKernelQuadratureBound:
         assert np.all(near > 0.0)
         assert np.all(p * np.arctan(2.4 * half / near) < 0.5 * math.pi)
 
+    @pytest.mark.parametrize("target", [1e-9, 1e-13])
+    @pytest.mark.parametrize("p", [1.0, 1.0 + 1e-7, 1.05, 1.18, 4.0, 500.0, 1e14])
+    def test_one_dyadic_grading_to_the_cutoff(self, p, target):
+        # u = r^p at most doubles across every cell, from the flat head to
+        # r_max (each edge is within about u of 2^(k/p), and the p-th power
+        # multiplies that by p)
+        r_max = hk._trunc_radius(p, target)[0]
+        r_flat, lo, w = hk._kernel(p, target).cells
+        hi = lo + w
+        assert lo[0] == r_flat and np.array_equal(lo[1:], hi[:-1]) and hi[-1] == r_max
+        assert np.all(hi ** p <= 2.0 * lo ** p * math.exp(4.0 * p * hk._U))
+        # one cell per octave of u from 2^-levels up to 2^ceil(log2 r_max^p)
+        levels = int(min(48, max(20, math.ceil(-math.log2(target)))))
+        top = math.ceil(math.log2(r_max ** p))
+        rounds_onto_r_max = (2.0 ** (top - 1)) ** (1.0 / p) >= r_max
+        assert lo.size == levels + top - rounds_onto_r_max
+
+    @staticmethod
+    def subpanels(kernel, x):
+        return sum(max(math.ceil(x * w / (0.5 * math.pi)), 1) for w in kernel.cells[2])
+
+    @staticmethod
+    def no_bessel(monkeypatch):
+        def boom(z):
+            raise AssertionError("Bessel values computed for a refused argument")
+
+        monkeypatch.setattr(hk, "j0_array", boom)
+        monkeypatch.setattr(hk, "j1_array", boom)
+
+    def test_argument_past_the_subpanel_limit(self, monkeypatch):
+        # the least x whose count passes the limit needs limit + 1
+        # subpanels: refused at once, before any Bessel value
+        kernel = hk._kernel(4.0, 1e-13)
+        lo, hi = 1e5, 1e6
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if self.subpanels(kernel, mid) <= hk._ARG_SUBPANELS else (lo, mid)
+        assert self.subpanels(kernel, hi) == hk._ARG_SUBPANELS + 1
+        self.no_bessel(monkeypatch)
+        with pytest.raises(hk.NonConvergenceError, match=f"{hi:.6g} needs {hk._ARG_SUBPANELS + 1} radial"):
+            hk.kernel_values(4.0, np.array([1.0, hi]), trunc_target=1e-13)
+
+    def test_argument_at_the_subpanel_limit(self, monkeypatch):
+        kernel = hk._kernel(4.0, 1e-13)
+        count = self.subpanels(kernel, 50.0)
+        monkeypatch.setattr(hk, "_ARG_SUBPANELS", count)
+        vals, errs = hk.kernel_values(4.0, np.array([50.0]), trunc_target=1e-13)
+        assert np.all(np.isfinite(vals)) and errs[0] <= 1e-13
+        monkeypatch.setattr(hk, "_ARG_SUBPANELS", count - 1)
+        with pytest.raises(hk.NonConvergenceError, match=f"limit of {count - 1} per argument"):
+            hk.kernel_values(4.0, np.array([50.0]), trunc_target=1e-13)
+
     @pytest.mark.parametrize("p,xs", [(2.3, (0.7, 10.0, 100.0)), (4.0, (0.7, 10.0, 100.0)),
                                       (40.0, (0.7, 10.0, 100.0)), (500.0, (0.7, 10.0, 100.0)),
                                       (1.5, (0.7, 10.0))])
@@ -846,13 +905,24 @@ class TestChebyshevKernelTable:
         for xi, v, e in zip(x, tv, te):
             assert abs(v - mpmath_kernel(p, float(xi))) <= e
 
-    def test_cold_table_nodes(self):
+    def test_cold_table_nodes(self, monkeypatch):
         # p = 9 at kernel target 1e-11 takes width 8: the outer rule reads
-        # x below 214 from 27 panels, 649 nodes (2 569 on width-2 panels)
+        # x below 214 from 27 panels, 649 nodes (2 569 on width-2 panels);
+        # dyadic radial cells up to r_max take 917 244 J0 points for them
+        # (1 008 108 with unit steps in u past u = 1)
+        points = []
+        real = hk.j0_array
+
+        def counting(z):
+            points.append(z.size)
+            return real(z)
+
+        monkeypatch.setattr(hk, "j0_array", counting)
         hk._kernel.cache_clear()
         res = hk.section_volume_quadrature(9.0, Direction.diagonal(3), 1e-6)
         assert hk._kernel(9.0, 1e-11).width == 8.0
         assert res.meta["kernel_nodes"] == 649
+        assert sum(points) == 917_244
 
     def test_build_order_independent(self):
         stepwise = hk._Kernel(40.0, 1e-12)
@@ -872,7 +942,7 @@ class TestChebyshevKernelTable:
         # the bits of the direct-evaluation engine, within err_bound of the
         # exact A(1, diag 3) = 3/7
         res = hk.section_volume_quadrature(1.0, Direction.diagonal(3), 1e-4)
-        assert (res.value, res.err_bound) == (0.428571327654794, 5.003534178172519e-05)
+        assert (res.value, res.err_bound) == (0.4285713276547943, 5.003534178050987e-05)
         assert abs(res.value - 3.0 / 7.0) <= res.err_bound
         assert res.meta["kernel_nodes"] == 0
 

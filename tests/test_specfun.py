@@ -145,6 +145,14 @@ class TestBessel:
         assert np.array_equal(sf.j0_array(-xs), sf.j0_array(xs))
         assert np.array_equal(sf.j1_array(-xs), -sf.j1_array(xs))
 
+    def test_huge_arguments_stay_quiet(self):
+        # 1 / x^2 overflows past |x| ~ 1.3e154 and 2 / (pi x) past 5.7e307:
+        # those terms are 0 there, without a RuntimeWarning on stderr
+        xs = np.array([1e200, 1e300, 1.7e308])
+        for fn in (sf.j0_array, sf.j1_array):
+            out = fn(xs)
+            assert np.all(np.abs(out) <= math.sqrt(2.0 / math.pi) / np.sqrt(xs))
+
     def test_nan_propagates(self):
         xs = np.array([np.nan, 1.0, 5.0, 30.0])
         for fn in (sf.j0_array, sf.j1_array):

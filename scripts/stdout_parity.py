@@ -27,7 +27,8 @@ draw to draw, and a zero-padded direction) and closed forms
 (finite p, p = 1e4 and p = inf), a direction whose sum of squares underflows,
 the usage (2) and non-convergence (3) exits (one of them a kernel argument
 past the radial subpanel limit), a kernel grid whose step is not dyadic,
-a kernel whose cutoff the truncation bound decides, a crossing scan,
+a kernel grid below 1, a kernel whose cutoff the truncation bound
+decides, a crossing scan,
 the Lipschitz suite, four clt tables (one at p = inf, one whose batches
 span several chunks), and the optimizer on n = 2 (closed forms only,
 also at p = 1e300) and n = 3 (quadrature).  It runs in under a minute on two cores.
@@ -105,6 +106,8 @@ LINES = [
     "volume --p 4 --a 1e-200,1e-200,1e-200 --engine quad --tol 1e-6",
     # the other subcommands
     "kernel --p 7.3 --s-max 12.1 --step 0.3",
+    # a grid below 1: its rows end at s_max, ten steps in
+    "kernel --p inf --s-max 1e-13 --step 1e-14",
     # a kernel target met with little room: the truncation bound sets r_max
     "kernel --p 1.461 --s-max 6 --step 0.5 --tol 2e-7",
     "crossing --p 9 --n-max 8 --tol 1e-5",

@@ -70,8 +70,9 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_seed(text: str) -> int:
-    # McSpec and the optimizer's RngStream both accept only [0, 2^64) and
-    # raise ValueError outside it; checking here names the flag
+    # RngStream, which keys the Monte Carlo batches and the optimizer's
+    # starts, accepts only [0, 2^64) and raises ValueError outside it;
+    # checking here names the flag
     seed = int(text)
     if not 0 <= seed < 2 ** 64:
         raise argparse.ArgumentTypeError("--seed must be in [0, 2^64)")
@@ -158,11 +159,16 @@ def _cmd_volume(args) -> int:
 
 def _cmd_kernel(args) -> int:
     p = _parse_p(args.p)
-    if (args.s_max + 1e-12) / args.step >= KERNEL_MAX_ROWS:
+    if args.s_max / args.step >= KERNEL_MAX_ROWS:
         raise ValueError(f"--s-max / --step must be below {KERNEL_MAX_ROWS} (one row per step)")
-    # s = k * step, not a running sum, so the grid does not drift
-    grid = np.arange(int((args.s_max + 1e-12) / args.step) + 2) * args.step
-    grid = grid[grid <= args.s_max + 1e-12]
+    # s = k * step for k = 0 .. s_max / step, not a running sum, so the
+    # grid does not drift.  The slack, relative to s_max, keeps a row that
+    # rounds a few ulps past s_max; the last row is checked in Python
+    # floats, so numpy computes none past it or past the double range
+    last = math.floor(args.s_max / args.step * (1.0 + 1e-12))
+    if last * args.step - args.s_max > 1e-12 * args.s_max:
+        last -= 1
+    grid = np.arange(last + 1) * args.step
     # looked up on the module, so that a hook on hankel.kernel_values sees this call
     values, errs = hankel.kernel_values(p, grid, trunc_target=max(args.tol, 1e-12) / 2.0)
     rows = [dict(p=_format_p(p), s=float(s), value=float(v), err_bound=float(e))

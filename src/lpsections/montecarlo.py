@@ -35,21 +35,20 @@ uniforms per coordinate, where sphere points cost four normals.
 Only the n nonzero coordinates are drawn: a zero coordinate adds nothing
 to the sum, so a zero-padded direction gives the bits of its unpadded
 form at its cost.  Sampling is batched: batch b of an estimate with seed
-s draws from PCG64DXSM seeded by SeedSequence(s, spawn_key=(n, b))
-(_batch_generator), so the stream is keyed by the inputs alone; numpy
-pads the seed to its pool size before it appends the key, so no two
-(s, n, b) share a stream.  The batch
-means are reduced in batch order.  The batches run on a thread pool with
-one worker per core available to the process (at most one per batch);
-numpy's random fills and ufuncs release the GIL.  Since every batch owns
-its generator and the reduction order is fixed, the worker count changes
-no bit of the value, the error bar or the batch means.  A batch draws in
-chunks of at most _CHUNK_ELEMENTS magnitudes, which bounds each worker's
-working set (about 2 MiB).  A chunk of m draws is an (n, m) array,
-coordinate-major, so each merge level works in place on contiguous rows;
-it draws its radial moduli first, then the merge scalars level by level.
-The chunk size and this order are part of the random stream: a batch
-spanning several chunks draws in a different order than one chunk would.
+s draws from RngStream(s, n, b), so the stream is keyed by the inputs
+alone and no two (s, n, b) share one (n and b lie below 2^32).  The
+batch means are reduced in batch order.  The batches run on a thread
+pool with one worker per core available to the process (at most one per
+batch); numpy's random fills and ufuncs release the GIL.  Since every
+batch owns its generator and the reduction order is fixed, the worker
+count changes no bit of the value, the error bar or the batch means.
+A batch draws in chunks of at most _CHUNK_ELEMENTS magnitudes, which
+bounds each worker's working set (about 2 MiB).  A chunk of m draws is
+an (n, m) array, coordinate-major, so each merge level works in place on
+contiguous rows; it draws its radial moduli first, then the merge
+scalars level by level.  The chunk size and this order are part of the
+random stream: a batch spanning several chunks draws in a different
+order than one chunk would.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import numpy as np
 
 from .direction import Direction, canonicalize, validate_exponent
 from .hankel import VolumeResult
-from .randkit import radial_array
+from .randkit import RngStream, radial_array
 # not called here: the benchmark's span tracer (perfbench/layers.py) rebinds this name
 from .randkit import sphere3_array  # noqa: F401
 from .specfun import gamma
@@ -163,12 +162,6 @@ def _workers() -> int:
     return max(1, min(cores, _BATCHES))
 
 
-def _batch_generator(seed: int, n: int, index: int) -> np.random.Generator:
-    """The generator of batch `index` of the estimate with seed `seed` over
-    n nonzero coordinates."""
-    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(n, index))))
-
-
 def _batch_sizes(samples: int, batches: int) -> list[int]:
     base, extra = divmod(samples, batches)
     return [base + (1 if b < extra else 0) for b in range(batches)]
@@ -190,13 +183,12 @@ def estimate_section_volume(p: float, a, spec: McSpec) -> VolumeResult:
     g2 = gamma(1.0 + 2.0 / p)
     arr = np.array(a.nonzero())
 
-    def batch_mean(job):
-        bi, bn = job
-        return float(_draw_batch(p, arr, _batch_generator(spec.seed, arr.size, bi), bn).mean())
+    def batch_mean(bi, bn):
+        return float(_draw_batch(p, arr, RngStream(spec.seed, arr.size, bi).generator, bn).mean())
 
     with ThreadPoolExecutor(_workers()) as ex:
         # map yields in batch order, whatever order the batches finish in
-        batch_means = list(ex.map(batch_mean, enumerate(_batch_sizes(spec.samples, _BATCHES))))
+        batch_means = list(ex.map(batch_mean, range(_BATCHES), _batch_sizes(spec.samples, _BATCHES)))
     bm = np.array(batch_means) * g2
     std_err = float(bm.std(ddof=1) / math.sqrt(bm.size))
     meta = {"batch_values": tuple(float(v) for v in bm)}

@@ -127,13 +127,13 @@ def maximize_direction(
 
     Multi-start Nelder-Mead in the squared-weight parameterization;
     starts are the two-coordinate direction, the main diagonal, and
-    random points from the Philox stream keyed by (seed, 0), seed in
-    [0, 2^64).  budget caps the engine evaluations: the first
-    k = min(4, budget // (n + 2)) starts run, with budget // k each, so
-    budget must be at least n + 2.  Convergence means the final simplex
-    diameter in w dropped below tol.  Every evaluation is a quadrature
-    volume at tol_abs = tol/4, which raises NonConvergenceError rather
-    than return a larger err_bound, so the reported best is always
+    random points from RngStream(seed, 0), the PCG64DXSM stream keyed by
+    (seed, 0), seed in [0, 2^64).  budget caps the engine evaluations:
+    the first k = min(4, budget // (n + 2)) starts run, with budget // k
+    each, so budget must be at least n + 2.  Convergence means the final
+    simplex diameter in w dropped below tol.  Every evaluation is a
+    quadrature volume at tol_abs = tol/4, which raises NonConvergenceError
+    rather than return a larger err_bound, so the reported best is always
     certified to tol/4.
     """
     p = validate_exponent(p)

@@ -2,13 +2,17 @@
 Monte Carlo volume representation: the radial modulus law and the uniform
 law on the 3-sphere.
 
-RngStream(seed, stream_id).generator is the counter-based Philox
-generator keyed by the pair, each of which must lie in [0, 2^64): the
-key is the caller's input itself, so identical keys reproduce identical
-draw sequences on any machine, distinct keys give statistically
-independent streams, and no two keys share one.  It draws the
-optimizer's random starts; the Monte Carlo engine keys its batches
-itself (montecarlo._batch_generator).  A generator is a stateful
+RngStream(seed, *key).generator is the one random stream of the
+library: PCG64DXSM seeded by SeedSequence(seed, spawn_key=key), the seed
+and every key part checked to lie in [0, 2^64).  The key is the caller's
+input itself, so identical keys reproduce identical draw sequences on
+any machine and distinct keys give statistically independent streams.
+numpy pads the seed to its pool size before it appends the key, so a
+seed never aliases a key part; it hashes a key part below 2^32 as one
+32-bit word and a larger one as two, so distinct keys share no stream
+while their parts lie below 2^32 ((2^32,) and (0, 1) share one).  Batch
+b of a Monte Carlo estimate over n coordinates draws from key (n, b), the
+optimizer's random starts from key (0,).  A generator is a stateful
 consumable; never draw from one concurrently.
 """
 
@@ -20,12 +24,12 @@ import numpy as np
 
 
 class RngStream:
-    """The Philox generator keyed by (seed, stream_id)."""
+    """The PCG64DXSM generator keyed by (seed, *key)."""
 
-    def __init__(self, seed: int, stream_id: int = 0):
-        if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
-            raise ValueError(f"seed and stream_id must be in [0, 2^64), got ({seed}, {stream_id})")
-        self.generator = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+    def __init__(self, seed: int, *key: int):
+        if not all(0 <= k < 2 ** 64 for k in (seed, *key)):
+            raise ValueError(f"seed and key parts must be in [0, 2^64), got {(seed, *key)}")
+        self.generator = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def radial_array(p: float, size, gen: np.random.Generator) -> np.ndarray:

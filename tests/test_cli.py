@@ -143,6 +143,44 @@ class TestKernelTable:
         s = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
         assert s == [k * 0.01 for k in range(2432)]
 
+    @staticmethod
+    def grid(out: str) -> list[float]:
+        return [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+
+    def test_grid_below_one_ends_at_s_max(self, capsys):
+        # an absolute slack of 1e-12 ran this grid on to s = 1.1e-12
+        code, out = run_cli(["kernel", "--p", "inf", "--s-max", "1e-13", "--step", "1e-14"], capsys)
+        assert code == 0
+        assert self.grid(out) == [k * 1e-14 for k in range(11)]
+
+    def test_row_cap_reads_s_max_over_step(self, capsys):
+        # ten steps: adding the slack of 1e-12 to s_max made it 1e289 rows
+        code, out = run_cli(["kernel", "--p", "inf", "--s-max", "1e-300", "--step", "1e-301"], capsys)
+        assert code == 0
+        assert self.grid(out) == [k * 1e-301 for k in range(11)]
+
+    def test_grid_keeps_the_row_at_s_max(self, capsys):
+        # 2584 * 83.2 rounds to one ulp (3e-11) past 214988.8, beyond an
+        # absolute slack of 1e-12: that row was lost
+        code, out = run_cli(["kernel", "--p", "inf", "--s-max", "214988.8", "--step", "83.2"], capsys)
+        assert code == 0
+        assert self.grid(out) == [k * 83.2 for k in range(2584 + 1)]
+
+    def test_grid_near_the_double_range_overflows_nothing(self, capsys):
+        # the grid held a row past s_max, which overflowed to inf in numpy's
+        # multiply: a RuntimeWarning on stderr (exit 4 under this suite's
+        # warning filter).  Ten steps of the second pair pass 2^1024
+        top, nudged = "1.7976931348623157e308", repr(math.nextafter(1.7976931348623157e307, math.inf))
+        for s_max, step, last in (("1.7e308", "1.7e307", 10), (top, nudged, 9)):
+            code = cli.main(["kernel", "--p", "inf", "--s-max", s_max, "--step", step])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, "")
+            assert self.grid(out) == [k * float(step) for k in range(last + 1)]
+        code = cli.main(["kernel", "--p", "4", "--s-max", "1.7e308", "--step", "1.7e307"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "radial subpanels" in err
+
     def test_non_finite_grid_is_usage_error(self, capsys):
         # an infinite --s-max never ended, and nan printed a table
         for flag, other in (("--s-max", ("--step", "1")), ("--step", ("--s-max", "3"))):
@@ -315,8 +353,8 @@ class TestFlags:
 class TestBadInput:
     MC = ["--engine", "mc", "--samples", "100"]
     CASES = [
-        # seeds must lie in [0, 2^64): McSpec and the optimizer's RngStream
-        # both reject the rest, and lpsec names the flag
+        # seeds must lie in [0, 2^64): McSpec and RngStream reject the
+        # rest, and lpsec names the flag
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", "-1"], "--seed"),
         (["volume", "--p", "4", "--diag", "3", *MC, "--seed", str(2 ** 64)], "--seed"),
         (["clt", "--p", "4", "--n-list", "2", "--samples", "1000", "--seed", "-1"], "--seed"),

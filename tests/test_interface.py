@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import lpsections
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -54,3 +56,21 @@ def test_every_import_is_used():
     unused = [f"{path.stem}.{name}" for path in sorted(Path(lpsections.__file__).parent.glob("*.py"))
               for name in sorted(_unused_imports(path)) if (path.stem, name) not in rebound]
     assert unused == []
+
+
+def test_only_randkit_builds_a_stream():
+    # one keyed-stream scheme: every draw of the library comes from a
+    # randkit.RngStream, so no other module builds or seeds a generator
+    builders = {name for name in dir(np.random) if isinstance(getattr(np.random, name), type)
+                and issubclass(getattr(np.random, name), np.random.BitGenerator)}
+    builders |= {"SeedSequence", "default_rng", "Generator", "RandomState", "seed"}
+    found = []
+    for path in sorted(Path(lpsections.__file__).parent.glob("*.py")):
+        if path.stem == "randkit":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in builders:
+                    found.append(f"{path.stem}:{node.lineno} {name}")
+    assert found == []
